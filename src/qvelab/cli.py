@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="CSV (x, density, cdf)")
     sp.set_defaults(fn=cmd_qve_measure)
 
-    sp = sub.add_parser("moments", help="QVE-measure moments via tree densities")
+    sp = sub.add_parser("moments", help="QVE-measure moments via the vector Catalan recursion")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--max-order", type=int, default=8)
     sp.add_argument("--out", default=None, help="CSV (order, value)")

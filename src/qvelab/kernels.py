@@ -8,6 +8,7 @@ so equal-measure checks never drift.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -65,10 +66,13 @@ class Partition:
     def k(self) -> int:
         return len(self.boundaries)
 
-    @property
+    @functools.cached_property
     def part_measures(self) -> np.ndarray:
+        """Lengths of the parts, computed once and shared read-only."""
         vals = np.array([float(b) for b in self.boundaries])
-        return np.diff(np.concatenate(([0.0], vals)))
+        mu = np.diff(np.concatenate(([0.0], vals)))
+        mu.setflags(write=False)
+        return mu
 
     @property
     def is_rational(self) -> bool:

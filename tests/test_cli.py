@@ -74,6 +74,13 @@ class TestExitCodes:
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["passed"] is True
 
+    def test_negative_max_order_exits_2(self, const1_kernel, capsys):
+        code, out, err = run(
+            ["moments", "--kernel", const1_kernel, "--max-order", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+
 
 class TestSubcommands:
     def test_moments(self, const1_kernel, capsys):
@@ -84,6 +91,16 @@ class TestSubcommands:
         assert rows[0] == "order,value"
         assert [r.split(",")[1] for r in rows[1:]] == \
             ["1.0", "0.0", "1.0", "0.0", "2.0"]
+
+    def test_moments_beyond_tree_enumeration(self, const1_kernel, capsys):
+        # [DERIVED] M_2j = Catalan(j) exactly, past the 10-edge tree limit
+        code, out, _ = run(
+            ["moments", "--kernel", const1_kernel, "--max-order", "30"], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        want = [repr(float(math.comb(o, o // 2) // (o // 2 + 1)))
+                if o % 2 == 0 else "0.0" for o in range(31)]
+        assert rows == [f"{o},{v}" for o, v in enumerate(want)]
 
     def test_k_alpha(self, capsys):
         code, out, _ = run(["k-alpha", "--alpha", "2", "--eps", "0.5"], capsys)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvelab import kernels, trees
 from qvelab.errors import KTooLarge, PartitionMismatch
@@ -31,6 +34,23 @@ def brute_force_hom_density(tree, W):
             term *= V[assign[a], assign[b]]
         total += term
     return total
+
+
+def tree_moment(order, W, pools):
+    """Oracle: the moment as the sum of hom densities over enumerated trees."""
+    if order % 2:
+        return 0.0
+    return sum(trees.hom_density(t, W) for t in pools[order // 2])
+
+
+@st.composite
+def kernel_values(draw):
+    """Symmetric nonnegative k x k values, k <= 6; entries are 0 or at least
+    1e-3, so no moment of order <= 16 underflows."""
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+    vals = draw(arrays(float, (k, k), elements=entry))
+    return np.triu(vals) + np.triu(vals, 1).T
 
 
 class TestRootedPlanarTree:
@@ -191,9 +211,52 @@ class TestQveMoment:
             W = random_kernel(rng, 3)
             assert abs(trees.qve_moment(2, W) - kernels.l1_norm(W)) <= 1e-12
 
-    def test_too_large(self):
-        with pytest.raises(KTooLarge):
-            trees.qve_moment(22, StepKernel.constant(1.0))
+    def test_order22_is_catalan11(self):
+        # [DERIVED] no order cap: 11 edges exceed tree enumeration
+        assert trees.qve_moment(22, StepKernel.constant(1.0)) == 58786.0
+
+    def test_matches_tree_sum(self):
+        # dual-route check: recursion vs tree enumeration, k = 1..8 on equal
+        # parts plus one unequal partition
+        rng = np.random.default_rng(11)
+        pools = [trees.enumerate_trees(j) for j in range(9)]
+        Ws = [random_kernel(rng, k) for k in range(1, 9)]
+        vals = rng.uniform(0.0, 4.0, size=(3, 3))
+        Ws.append(StepKernel(Partition([0.1, 0.45, 1.0]), 0.5 * (vals + vals.T)))
+        for W in Ws:
+            rows = trees.moments_table(W, 16)
+            for order, got in rows:
+                want = tree_moment(order, W, pools)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert trees.qve_moment(order, W) == got
+
+    def test_matches_tree_sum_order20(self):
+        # the 16796 trees with 10 edges, the most enumeration allows
+        W = random_kernel(np.random.default_rng(12), 2)
+        want = tree_moment(20, W, {10: trees.enumerate_trees(10)})
+        assert trees.qve_moment(20, W) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(vals=kernel_values(), c=st.floats(0.1, 10.0))
+    def test_scaling(self, vals, c):
+        # [PAPER] W -> cW scales M_2j by c^j
+        part = Partition.equal(vals.shape[0])
+        base = trees.moments_table(StepKernel(part, vals), 16)
+        scaled = trees.moments_table(StepKernel(part, c * vals), 16)
+        for (order, m), (_, mc) in zip(base, scaled):
+            assert mc == pytest.approx(c ** (order // 2) * m, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(vals=kernel_values(), data=st.data())
+    def test_relabel_invariance(self, vals, data):
+        # [PAPER] permuting the parts of an equal partition fixes the measure
+        k = vals.shape[0]
+        sigma = data.draw(st.permutations(range(k)))
+        W = StepKernel(Partition.equal(k), vals)
+        base = trees.moments_table(W, 16)
+        moved = trees.moments_table(kernels.relabel(W, sigma), 16)
+        for (_, m), (_, mr) in zip(base, moved):
+            assert mr == pytest.approx(m, rel=1e-12, abs=0.0)
 
 
 class TestCountingLemma:
@@ -265,3 +328,7 @@ class TestMomentsTable:
         rows = trees.moments_table(StepKernel.constant(1.0), 6)
         assert rows == [(0, 1.0), (1, 0.0), (2, 1.0), (3, 0.0),
                         (4, 2.0), (5, 0.0), (6, 5.0)]
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            trees.moments_table(StepKernel.constant(1.0), -1)
