@@ -1,9 +1,14 @@
 """Batch command-line front-end.
 
 Every subcommand calls one module pipeline, reads/writes CSV or JSON files,
-and prints a machine-readable JSON summary line on stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Same argv + seed gives
-byte-identical outputs.
+and prints a machine-readable JSON summary line on stderr.  Same argv + seed
+gives byte-identical outputs.
+
+Exit codes: 0 success; 1 a check failed (a ``verify`` violation, or a
+numerical failure: ``NotConverged``, ``SolveFailure``, ``EigFailure``); 2 bad
+usage or input (every other ``QvelabError``, ``OSError``, ``ValueError``).
+Each ``QvelabError`` class carries its code as ``exit_code``.  ``verify
+--suite`` takes ``identities``, ``inequalities``, ``all`` or one suite name.
 """
 
 from __future__ import annotations
@@ -183,14 +188,7 @@ def cmd_cutnorm(args):
 
 
 def cmd_verify(args):
-    if args.suite == "identities":
-        names = list(suites.IDENTITY_SUITES)
-    elif args.suite == "inequalities":
-        names = list(suites.INEQUALITY_SUITES)
-    elif args.suite == "all":
-        names = list(suites.ALL_SUITES)
-    else:
-        names = [args.suite]
+    names = suites.GROUPS.get(args.suite, [args.suite])
     results = suites.run_suites(names, seed=args.seed, trials=args.trials)
     rows = [{"suite": r.name, "trials": r.trials, "violations": r.violations}
             for r in results]
@@ -297,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run identity/inequality suites")
     sp.add_argument("--suite", default="all",
-                    help="identities | inequalities | all | <suite name>")
+                    choices=[*suites.GROUPS, *suites.ALL_SUITES],
+                    help="a suite group or one suite name")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=None,
                     help="override per-suite trial count")
@@ -315,14 +314,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except QvelabError as exc:
+    except (QvelabError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

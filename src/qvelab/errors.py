@@ -2,7 +2,13 @@
 
 
 class QvelabError(Exception):
-    """Base class for all qvelab errors."""
+    """Base class for all qvelab errors.
+
+    ``exit_code`` is the CLI exit status: 2 (bad usage or input) unless a
+    subclass marks a numerical failure with 1.
+    """
+
+    exit_code = 2
 
 
 class ExactTooLarge(QvelabError):
@@ -18,10 +24,12 @@ class AsymmetricInput(QvelabError):
 
 
 class NotConverged(QvelabError):
-    """Iterative solver failed to reach tolerance.
+    """Iterative solver or root search failed to reach tolerance.
 
-    Carries the list of offending points in ``args[1]`` when applicable.
+    Carries the list of offending points in ``points`` when applicable.
     """
+
+    exit_code = 1
 
     def __init__(self, message, points=None):
         super().__init__(message)
@@ -42,10 +50,6 @@ class KTooLarge(QvelabError):
 
 class PartitionMismatch(QvelabError):
     """Kernels were expected to share a partition."""
-
-
-class NoConvergence(QvelabError):
-    """Root bracketing / inversion failed (indicates a numeric bug)."""
 
 
 class NegativeInput(QvelabError):
@@ -71,6 +75,10 @@ class NoFeasibleKernel(QvelabError):
 class SolveFailure(QvelabError):
     """Dense linear solve failed."""
 
+    exit_code = 1
+
 
 class EigFailure(QvelabError):
     """Symmetric eigendecomposition failed."""
+
+    exit_code = 1

@@ -20,8 +20,8 @@ from scipy import optimize, special
 from .errors import (
     DomainError,
     NegativeInput,
-    NoConvergence,
     NoFeasibleKernel,
+    NotConverged,
 )
 from .kernels import StepKernel
 
@@ -136,13 +136,13 @@ def h_L_prime(pair: LegendrePair, u: float) -> float:
                 break
             lo *= 2.0
         else:
-            raise NoConvergence("bracket failure on the left for L' inversion")
+            raise NotConverged("bracket failure on the left for L' inversion")
         for _ in range(200):
             if cgf_L_prime(pair, hi) > u:
                 break
             hi *= 2.0
         else:
-            raise NoConvergence("bracket failure on the right for L' inversion")
+            raise NotConverged("bracket failure on the right for L' inversion")
         theta = optimize.brentq(lambda t: cgf_L_prime(pair, t) - u, lo, hi,
                                 xtol=1e-15, rtol=8.9e-16, maxiter=500)
     memo[key] = theta
@@ -185,7 +185,8 @@ def k_alpha(pair: LegendrePair, alpha: float, eps: float,
     """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps.
 
     psi(u) = h_L(u)/u is an increasing homeomorphism of [1, inf) onto
-    [0, inf), so bisection on psi always succeeds.
+    [0, inf), so bisection on psi always succeeds while the root is a float;
+    DomainError when it is not (alpha/eps above about 702 for Rademacher).
     """
     if alpha < 1:
         raise DomainError("alpha must be >= 1")
@@ -200,16 +201,10 @@ def k_alpha(pair: LegendrePair, alpha: float, eps: float,
     # bisect geometrically (in log u) to cover very large roots
     u_max = 1e308
     lo, hi = 1.0, 2.0
-    for _ in range(500):
-        if psi(hi) >= target:
-            break
+    while psi(hi) < target:
         if hi >= u_max:
-            raise NoConvergence(
-                "psi bracket failure: target alpha/eps exceeds float range"
-            )
+            raise DomainError("target alpha/eps exceeds float range")
         lo, hi = hi, min(hi * hi, u_max)
-    else:
-        raise NoConvergence("psi bracket failure")
     for _ in range(500):
         mid = math.sqrt(lo) * math.sqrt(hi)
         val = psi(mid)
@@ -220,8 +215,14 @@ def k_alpha(pair: LegendrePair, alpha: float, eps: float,
         else:
             hi = mid
         if hi - lo <= 1e-15 * hi:
-            return mid
-    return math.sqrt(lo) * math.sqrt(hi)
+            break
+    else:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+    # h_L(u) overflows above u ~ 2.6e305 (psi ~ 702 for Rademacher), where psi
+    # reads inf: a bracket top still there means the root is out of range
+    if not math.isfinite(psi(hi)):
+        raise DomainError("target alpha/eps exceeds float range")
+    return mid
 
 
 class BennettBound(NamedTuple):

@@ -1,7 +1,13 @@
 """Randomized identity and inequality suites.
 
-Each suite returns a SuiteResult with per-trial violation counts; the CLI
-``verify`` subcommand and the acceptance tests both run these.
+Every suite runs through one harness, ``_run``: it seeds one
+``numpy.random.default_rng`` and calls the suite's ``trial(rng)`` once per
+trial.  A trial draws its random inputs, runs one check and returns a
+``CheckReport``; the trial is a violation unless ``report.holds`` (so a NaN
+``lhs`` is a violation), and each violation adds ``(t, lhs, rhs)`` to
+``SuiteResult.details``.  The CLI ``verify`` subcommand and the acceptance
+tests both run these; ``GROUPS`` names the suite lists ``verify --suite``
+accepts besides single suite names.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ensembles, kernels, measures, qve, rates, trees
+from .report import CheckReport
 
 
 @dataclass
@@ -25,6 +32,19 @@ class SuiteResult:
         return self.violations == 0
 
 
+def _run(name, seed, trials, trial) -> SuiteResult:
+    """Call ``trial(rng)`` ``trials`` times on one RNG seeded with ``seed``."""
+    if trials < 1:
+        raise ValueError(f"{name}: trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    details = []
+    for t in range(trials):
+        rep = trial(rng)
+        if not rep.holds:
+            details.append((t, rep.lhs, rep.rhs))
+    return SuiteResult(name, trials, len(details), details)
+
+
 def _random_kernel(rng, k, lo=0.0, hi=4.0, equal=True) -> kernels.StepKernel:
     vals = rng.uniform(lo, hi, size=(k, k))
     vals = 0.5 * (vals + vals.T)
@@ -37,74 +57,59 @@ def _random_atom_measure(rng, n_atoms=6) -> measures.ProbMeasure1D:
     return measures.ProbMeasure1D.from_atoms(x, w / w.sum())
 
 
+def _random_tree(rng, k_edges) -> trees.RootedPlanarTree:
+    pool = trees.enumerate_trees(k_edges)
+    return pool[int(rng.integers(0, len(pool)))]
+
+
 def schur_ward_suite(seed=0, trials=100, n_max=100) -> SuiteResult:
     """Schur complement and Ward identity residuals on random matrices."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         n = int(rng.integers(3, n_max + 1))
         M = rng.standard_normal((n, n))
         M = (M + M.T) / np.sqrt(2 * n)
         z = complex(rng.uniform(-1, 1), rng.uniform(1.0, 4.0))
         i = int(rng.integers(0, n))
         scale = 1e-9 * (1.0 + np.abs(M).sum() / z.imag)
-        rs = ensembles.schur_residual(M, z, i)
-        rw = ensembles.ward_residual(M, z, i)
-        if rs > scale or rw > scale:
-            violations += 1
-            details.append((t, rs, rw))
-    return SuiteResult("schur_ward", trials, violations, details)
+        # np.maximum, unlike max(), keeps a NaN residual from either side
+        res = float(np.maximum(ensembles.schur_residual(M, z, i),
+                               ensembles.ward_residual(M, z, i)))
+        return CheckReport(res, scale, res <= scale)
+    return _run("schur_ward", seed, trials, trial)
 
 
 def stability_suite(seed=0, trials=200) -> SuiteResult:
     """Perturbation bound with kappa = 128 on random kernels."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         k = int(rng.integers(1, 4))
         W = _random_kernel(rng, k)
         snorm = float(np.abs(qve._coupling_matrix(W)).sum(axis=1).max())
         im = qve.STABILITY_KAPPA * max(snorm, 1.0) ** 2 * rng.uniform(1.0, 2.0)
         z = complex(rng.uniform(-im, im) * 0.5, im)
         d = rng.uniform(-1e-3, 1e-3, size=k) + 1j * rng.uniform(-1e-3, 1e-3, size=k)
-        rep = qve.stability_check(W, d, z)
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("stability", trials, violations, details)
+        return qve.stability_check(W, d, z)
+    return _run("stability", seed, trials, trial)
 
 
 def counting_suite(seed=0, trials=200) -> SuiteResult:
     """Counting bound for decorated trees (k <= 4 edges, 3-part kernels)."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         k_edges = int(rng.integers(1, 5))
-        pool = trees.enumerate_trees(k_edges)
-        tree = pool[int(rng.integers(0, len(pool)))]
+        tree = _random_tree(rng, k_edges)
         w = [_random_kernel(rng, 3) for _ in range(k_edges)]
         wp = [_random_kernel(rng, 3) for _ in range(k_edges)]
-        rep = trees.counting_lemma_check(tree, w, wp)
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("counting_lemma", trials, violations, details)
+        return trees.counting_lemma_check(tree, w, wp)
+    return _run("counting_lemma", seed, trials, trial)
 
 
 def degree_bound_suite(seed=0, trials=200) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         k_edges = int(rng.integers(0, 5))
-        pool = trees.enumerate_trees(k_edges)
-        tree = pool[int(rng.integers(0, len(pool)))]
+        tree = _random_tree(rng, k_edges)
         w = [_random_kernel(rng, 3) for _ in range(k_edges)]
         part = int(rng.integers(0, 3)) if k_edges else 0
-        rep = trees.degree_bound_check(tree, w if k_edges else [], part)
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("degree_bound", trials, violations, details)
+        return trees.degree_bound_check(tree, w, part)
+    return _run("degree_bound", seed, trials, trial)
 
 
 def _coarse_grid(W) -> qve.SpectralGrid:
@@ -116,9 +121,7 @@ def _coarse_grid(W) -> qve.SpectralGrid:
 
 def interlacing_suite(seed=0, trials=200) -> SuiteResult:
     """Kernel interlacing bound: modify one part of a 4-part kernel."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         W = _random_kernel(rng, 4)
         vals = W.values.copy()
         i = int(rng.integers(0, 4))
@@ -126,49 +129,34 @@ def interlacing_suite(seed=0, trials=200) -> SuiteResult:
         vals[i, :] = new_row
         vals[:, i] = new_row
         Wp = kernels.StepKernel(W.partition, vals)
-        rep = measures.interlacing_check(W, Wp, 0.25, grid=_coarse_grid(W))
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("interlacing", trials, violations, details)
+        return measures.interlacing_check(W, Wp, 0.25, grid=_coarse_grid(W))
+    return _run("interlacing", seed, trials, trial)
 
 
 def hw_suite(seed=0, trials=200) -> SuiteResult:
     """Hoeffding-Wielandt style bound on random kernel pairs (k <= 4)."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         k = int(rng.integers(1, 5))
         W = _random_kernel(rng, k)
         Wp = _random_kernel(rng, k)
         grid = _coarse_grid(W if qve.support_bound(W) >= qve.support_bound(Wp)
                             else Wp)
-        rep = measures.hw_check(W, Wp, grid=grid)
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("hoeffding_wielandt", trials, violations, details)
+        return measures.hw_check(W, Wp, grid=grid)
+    return _run("hoeffding_wielandt", seed, trials, trial)
 
 
 def metric_inequality_suite(seed=0, trials=500) -> SuiteResult:
     """metric_d <= min(W1, KS) on random atom-measure pairs."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         mu = _random_atom_measure(rng)
         nu = _random_atom_measure(rng)
-        rep = measures.metric_inequality_check(mu, nu)
-        if not rep.holds:
-            violations += 1
-            details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult("metric_inequality", trials, violations, details)
+        return measures.metric_inequality_check(mu, nu)
+    return _run("metric_inequality", seed, trials, trial)
 
 
 def rank_ks_suite(seed=0, trials=200, n=60) -> SuiteResult:
     """KS shift from zeroing r rows/columns is at most 2r/n."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         M = rng.standard_normal((n, n))
         M = (M + M.T) / np.sqrt(2 * n)
         r = int(rng.integers(1, 6))
@@ -179,17 +167,13 @@ def rank_ks_suite(seed=0, trials=200, n=60) -> SuiteResult:
         d = measures.ks_distance(ensembles.esm(M).measure,
                                  ensembles.esm(Mp).measure)
         bound = 2.0 * r / n + 1e-12
-        if d > bound:
-            violations += 1
-            details.append((t, d, bound))
-    return SuiteResult("rank_ks", trials, violations, details)
+        return CheckReport(d, bound, d <= bound)
+    return _run("rank_ks", seed, trials, trial)
 
 
 def cut_norm_exactness_suite(seed=0, trials=100, k_max=8) -> SuiteResult:
     """Vertex-enumeration cut norm vs independent subset-pair brute force."""
-    rng = np.random.default_rng(seed)
-    violations, details = 0, []
-    for t in range(trials):
+    def trial(rng):
         k = int(rng.integers(1, k_max + 1))
         vals = rng.uniform(-2, 2, size=(k, k))
         vals = 0.5 * (vals + vals.T)
@@ -201,35 +185,28 @@ def cut_norm_exactness_suite(seed=0, trials=100, k_max=8) -> SuiteResult:
         M = W.values * np.outer(mu, mu)
         ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
         brute = float(np.abs(ind @ M @ ind.T).max())
-        if abs(fast - brute) > 1e-12:
-            violations += 1
-            details.append((t, fast, brute))
-    return SuiteResult("cut_norm_exactness", trials, violations, details)
+        err = abs(fast - brute)
+        return CheckReport(err, 1e-12, err <= 1e-12)
+    return _run("cut_norm_exactness", seed, trials, trial)
 
 
 def k_alpha_roundtrip_suite(seed=0, trials=100) -> SuiteResult:
     """psi(K_alpha(eps)) = alpha/eps for the Rademacher law."""
-    rng = np.random.default_rng(seed)
     pair = rates.LegendrePair(rates.EntryLaw.rademacher())
-    violations, details = 0, []
-    for t in range(trials):
+
+    def trial(rng):
         # alpha/eps <= 500 keeps the root u = e^(alpha/eps + ...) within
         # float range for the logarithmically growing Rademacher psi
         alpha = float(rng.uniform(1.0, 50.0))
         eps = float(rng.uniform(0.1, 0.98))
         u = rates.k_alpha(pair, alpha, eps)
-        psi = rates.legendre_h_L(pair, u) / u
-        if abs(psi - alpha / eps) > 1e-9:
-            violations += 1
-            details.append((t, psi, alpha / eps))
-    return SuiteResult("k_alpha_roundtrip", trials, violations, details)
+        err = abs(rates.legendre_h_L(pair, u) / u - alpha / eps)
+        return CheckReport(err, 1e-9, err <= 1e-9)
+    return _run("k_alpha_roundtrip", seed, trials, trial)
 
 
-IDENTITY_SUITES = {
+ALL_SUITES = {
     "schur_ward": schur_ward_suite,
-}
-
-INEQUALITY_SUITES = {
     "stability": stability_suite,
     "counting_lemma": counting_suite,
     "degree_bound": degree_bound_suite,
@@ -237,22 +214,18 @@ INEQUALITY_SUITES = {
     "hoeffding_wielandt": hw_suite,
     "metric_inequality": metric_inequality_suite,
     "rank_ks": rank_ks_suite,
-}
-
-EXTRA_SUITES = {
     "cut_norm_exactness": cut_norm_exactness_suite,
     "k_alpha_roundtrip": k_alpha_roundtrip_suite,
 }
 
-ALL_SUITES = {**IDENTITY_SUITES, **INEQUALITY_SUITES, **EXTRA_SUITES}
+GROUPS = {
+    "identities": ["schur_ward"],
+    "inequalities": ["stability", "counting_lemma", "degree_bound", "interlacing",
+                     "hoeffding_wielandt", "metric_inequality", "rank_ks"],
+    "all": list(ALL_SUITES),
+}
 
 
 def run_suites(names, seed=0, trials=None) -> list:
-    out = []
-    for name in names:
-        fn = ALL_SUITES[name]
-        kwargs = {"seed": seed}
-        if trials is not None:
-            kwargs["trials"] = trials
-        out.append(fn(**kwargs))
-    return out
+    kwargs = {} if trials is None else {"trials": trials}
+    return [ALL_SUITES[name](seed=seed, **kwargs) for name in names]

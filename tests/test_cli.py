@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from qvelab import cli, kernels
-from qvelab.kernels import StepKernel
+from qvelab import cli, ensembles, kernels
+from qvelab.kernels import Partition, StepKernel
 
 
 @pytest.fixture()
@@ -80,6 +80,50 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+
+    def test_unknown_suite_exits_2(self, capsys):
+        code, out, err = run(["verify", "--suite", "bogus"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
+
+    def test_verify_nonpositive_trials_exits_2(self, capsys):
+        for trials in ("0", "-3"):
+            code, out, err = run(
+                ["verify", "--suite", "schur_ward", "--trials", trials], capsys)
+            assert code == 2
+            assert out == ""
+            assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+
+    def test_verify_nan_residual_is_a_violation(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ensembles, "schur_residual", lambda M, z, i: math.nan)
+        out = tmp_path / "verify.txt"
+        code, _, err = run(["verify", "--suite", "schur_ward", "--trials", "3",
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert out.read_text() == "schur_ward: 3 violations / 3 trials\n"
+        assert json.loads(err.strip().splitlines()[-1])["passed"] is False
+
+    def test_exact_too_large_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "k13.json"
+        kernels.save_kernel(StepKernel(Partition.equal(13), np.ones((13, 13))), path)
+        code, out, err = run(["cutnorm", "--kernel", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ExactTooLarge"
+
+    def test_grid_too_narrow_exits_2(self, const1_kernel, tmp_path, capsys):
+        code, _, err = run(["qve-measure", "--kernel", const1_kernel,
+                            "--grid=-1:1:100:0.001",
+                            "--out", str(tmp_path / "rho.csv")], capsys)
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "GridTooNarrow"
+
+    def test_k_alpha_out_of_float_range_exits_2(self, capsys):
+        code, out, err = run(["k-alpha", "--alpha", "354", "--eps", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"
 
 
 class TestSubcommands:

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from qvelab import kernels, qve
-from qvelab.errors import GridTooNarrow, PreconditionViolated
+from qvelab.errors import GridTooNarrow, NotConverged, PreconditionViolated
 from qvelab.kernels import Partition, StepKernel
 
 
@@ -79,6 +79,12 @@ class TestSolveQve:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             qve.solve_qve(StepKernel.constant(1.0), [1.0 - 1j])
+
+    def test_not_converged_lists_points(self):
+        with pytest.raises(NotConverged) as exc:
+            qve.solve_qve(StepKernel.constant(1.0), [2j, 1 + 1j], max_iter=0)
+        assert exc.value.points == [2j, 1 + 1j]
+        assert exc.value.exit_code == 1
 
     def test_uniqueness_two_initializations(self):
         # uniqueness proxy: default start -1/z vs warm start i*ones

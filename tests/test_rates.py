@@ -234,6 +234,15 @@ class TestKAlpha:
         with pytest.raises(DomainError):
             rates.k_alpha(pair, 2.0, 1.5)
 
+    def test_root_beyond_float_range(self):
+        # psi = h_L(u)/u overflows to inf above u ~ 2.6e305 (psi ~ 702), so
+        # alpha/eps = 708 has no float root; 700 still has one
+        pair = LegendrePair(EntryLaw.rademacher())
+        with pytest.raises(DomainError):
+            rates.k_alpha(pair, 354.0, 0.5)
+        u = rates.k_alpha(pair, 350.0, 0.5)
+        assert abs(rates.legendre_h_L(pair, u) / u - 700.0) <= 1e-10
+
 
 class TestBennettBound:
     def test_weak_form_boundary(self):
