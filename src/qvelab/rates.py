@@ -9,13 +9,13 @@ Rademacher law it reduces to u log u - u + 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import (
     DomainError,
@@ -59,10 +59,15 @@ class EntryLaw:
     def rademacher(cls) -> "EntryLaw":
         return cls([-1.0, 1.0], [0.5, 0.5])
 
-    @property
+    @functools.cached_property
     def bound(self) -> float:
-        """Essential sup R of |A|."""
+        """Essential sup R of |A| (cached: every L' inversion reads it)."""
         return float(np.abs(self.support).max())
+
+    @functools.cached_property
+    def _squares(self) -> np.ndarray:
+        """A^2 on the support (cached: every evaluation of L reads it)."""
+        return self.support ** 2
 
     def to_json(self) -> str:
         return json.dumps({"support": self.support.tolist(),
@@ -82,29 +87,38 @@ class LegendrePair:
     _theta_memo: dict = field(default_factory=dict, repr=False)
 
 
+# L and its derivatives overflow to inf for large theta.  That inf is the
+# right value (the searches below bracket on it), so numpy's overflow warnings
+# are silenced, once per public call rather than once per evaluation: an
+# inversion takes a dozen or more evaluations, and np.errstate costs a quarter
+# of one.
+
+
+@np.errstate(over="ignore")
 def cgf_L(pair: LegendrePair, theta: float) -> float:
     """L(theta) = E exp(theta A^2) - 1, exact finite sum."""
     law = pair.law
-    return float(law.probs @ np.exp(theta * law.support ** 2) - 1.0)
+    return float(law.probs @ np.exp(theta * law._squares) - 1.0)
 
 
+@np.errstate(over="ignore")
 def cgf_L_prime(pair: LegendrePair, theta: float) -> float:
-    law = pair.law
-    v2 = law.support ** 2
-    return float(law.probs @ (v2 * np.exp(theta * v2)))
+    return _L_derivative(pair.law, theta, 1)
 
 
-def _cgf_L_second(pair: LegendrePair, theta: float) -> float:
-    law = pair.law
-    v2 = law.support ** 2
-    return float(law.probs @ (v2 ** 2 * np.exp(theta * v2)))
+def _L_derivative(law: EntryLaw, theta: float, order: int) -> float:
+    """The order-th derivative E A^(2 order) exp(theta A^2) of L, order >= 1,
+    with overflow left to the caller."""
+    v2 = law._squares
+    weight = v2 if order == 1 else v2 ** order
+    return float(law.probs @ (weight * np.exp(theta * v2)))
 
 
 def h_L_prime(pair: LegendrePair, u: float) -> float:
     """Inverse of L': the unique theta with L'(theta) = u, u > 0.
 
-    Newton from a crude log guess, with an expanding-bracket bisection
-    fallback.  Memoized; the memoized path is bit-identical to the direct one.
+    Newton from a crude log guess, with a bisection fallback on an expanding
+    bracket.  Memoized; the memoized path is bit-identical to the direct one.
     """
     if u <= 0:
         raise DomainError("h_L' defined for u > 0 only")
@@ -112,16 +126,23 @@ def h_L_prime(pair: LegendrePair, u: float) -> float:
     memo = pair._theta_memo
     if key in memo:
         return memo[key]
-    R2 = pair.law.bound ** 2
+    theta = _invert_L_prime(pair.law, u)
+    memo[key] = theta
+    return theta
+
+
+@np.errstate(over="ignore")
+def _invert_L_prime(law: EntryLaw, u: float) -> float:
+    R2 = law.bound ** 2
     theta = math.log(u) / R2
 
     converged = False
     for _ in range(100):
-        f = cgf_L_prime(pair, theta) - u
+        f = _L_derivative(law, theta, 1) - u
         if abs(f) <= 1e-14 * max(1.0, u):
             converged = True
             break
-        fp = _cgf_L_second(pair, theta)
+        fp = _L_derivative(law, theta, 2)
         step = f / fp
         if not math.isfinite(step):
             break
@@ -129,23 +150,30 @@ def h_L_prime(pair: LegendrePair, u: float) -> float:
         if abs(step) <= 1e-16 * max(1.0, abs(theta)):
             converged = True
             break
-    if not converged or abs(cgf_L_prime(pair, theta) - u) > 1e-10 * max(1.0, u):
+    if not converged or abs(_L_derivative(law, theta, 1) - u) > 1e-10 * max(1.0, u):
         lo, hi = -50.0 / R2, 50.0 / R2
         for _ in range(200):
-            if cgf_L_prime(pair, lo) < u:
+            if _L_derivative(law, lo, 1) < u:
                 break
             lo *= 2.0
         else:
             raise NotConverged("bracket failure on the left for L' inversion")
         for _ in range(200):
-            if cgf_L_prime(pair, hi) > u:
+            if _L_derivative(law, hi, 1) > u:
                 break
             hi *= 2.0
         else:
             raise NotConverged("bracket failure on the right for L' inversion")
-        theta = optimize.brentq(lambda t: cgf_L_prime(pair, t) - u, lo, hi,
-                                xtol=1e-15, rtol=8.9e-16, maxiter=500)
-    memo[key] = theta
+        # L' is increasing: bisect until lo and hi are adjacent floats
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if _L_derivative(law, mid, 1) < u:
+                lo = mid
+            else:
+                hi = mid
+        theta = min((lo, hi), key=lambda t: abs(_L_derivative(law, t, 1) - u))
     return theta
 
 
@@ -177,7 +205,7 @@ def er_rate_h(u: float) -> float:
     """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity)."""
     if u < 0:
         raise NegativeInput("h defined for u >= 0")
-    return float(special.xlogy(u, u) - u + 1.0)
+    return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
 
 
 def k_alpha(pair: LegendrePair, alpha: float, eps: float,

@@ -2,13 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+import qvelab
 from qvelab import cli, ensembles, kernels
 from qvelab.kernels import Partition, StepKernel
+
+SRC = str(Path(qvelab.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -22,6 +29,13 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(args):
+    """Run a fresh interpreter with the package's source directory on the path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestParseComplex:
@@ -124,6 +138,50 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"
+
+    def test_k_alpha_overflow_stderr_is_one_json_line(self, tmp_path):
+        # L'(theta) overflows on the way to the out-of-range root; numpy's
+        # warnings must not reach stderr ahead of the error line
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"support": [-2.0, 0.0, 2.0],
+                                   "probs": [0.125, 0.75, 0.125]}))
+        proc = run_python(["-m", "qvelab.cli", "k-alpha", "--law", str(law),
+                           "--alpha", "100", "--eps", "0.2"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+
+    def test_eig_failure_exits_1(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(["spectrum", "--n", "50", "--p", "0.2", "--seed", "1",
+                              "--out", str(tmp_path / "f")], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "EigFailure"
+
+    def test_solve_failure_exits_1(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", fail)
+        code, out, err = run(["verify", "--suite", "schur_ward", "--trials", "1"],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "SolveFailure"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the runtime needs numpy only; scipy is a test oracle
+    proc = run_python(["-c", "import json, sys, qvelab.cli; print(json.dumps("
+                       "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class TestSubcommands:

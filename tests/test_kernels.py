@@ -296,6 +296,26 @@ class TestCutDistance:
             dac = kernels.cut_distance(a, c).value
             assert dac <= dab + dbc + 1e-12
 
+    def test_exact_matches_brute_force(self):
+        # independent oracle: |s^T D t| over all 2^k x 2^k pairs of 0/1
+        # vectors for every permuted difference D; first minimum wins
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            k = int(rng.integers(1, 6))
+            W1, W2 = random_kernel(rng, k), random_kernel(rng, k)
+            mu = W1.partition.part_measures
+            S = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+            best_val, best_perm = np.inf, None
+            for perm in itertools.permutations(range(k)):
+                D = (W1.values - W2.values[np.ix_(perm, perm)]) * np.outer(mu, mu)
+                val = np.abs(S @ D @ S.T).max()
+                if val < best_val:
+                    best_val, best_perm = val, perm
+            d = kernels.cut_distance(W1, W2, mode="exact")
+            assert d.exact
+            assert abs(d.value - best_val) <= 1e-12
+            assert tuple(d.permutation) == best_perm
+
 
 # ---------------------------------------------------------------------------
 # relabel

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qvelab import kernels, rates
 from qvelab.errors import DomainError, NegativeInput, NoFeasibleKernel
@@ -137,6 +138,44 @@ class TestLegendreHL:
         for u in (0.05, 0.8, 1.0, 3.0, 40.0):
             theta = rates.h_L_prime(pair, u)
             assert abs(rates.cgf_L_prime(pair, theta) - u) <= 1e-9 * max(1.0, u)
+
+
+class TestHLPrimeBisection:
+    """u values where Newton misses and the bisection fallback decides."""
+
+    @staticmethod
+    def _solve_counting(monkeypatch, law, u):
+        # Newton evaluates L' at most 101 times (100 steps and a final
+        # check); more evaluations mean the fallback ran
+        calls = []
+        real = rates._L_derivative
+
+        def spy(law, theta, order):
+            calls.append(order)
+            return real(law, theta, order)
+
+        monkeypatch.setattr(rates, "_L_derivative", spy)
+        theta = rates.h_L_prime(LegendrePair(law), u)
+        assert calls.count(1) > 101
+        return theta
+
+    def test_rademacher_log(self, monkeypatch):
+        # [DERIVED] A^2 = 1 so L'(theta) = e^theta and theta = log u
+        u = 1.789835852676843e+111
+        theta = self._solve_counting(monkeypatch, EntryLaw.rademacher(), u)
+        assert abs(theta - math.log(u)) <= 4 * math.ulp(math.log(u))
+
+    def test_three_point_law_against_brentq(self, monkeypatch):
+        s3 = math.sqrt(3.0)
+        law = EntryLaw([-s3, 0.0, s3], [1 / 6, 2 / 3, 1 / 6])
+        u = 1.2176469362061843e+42
+        theta = self._solve_counting(monkeypatch, law, u)
+        pair = LegendrePair(law)
+        oracle = brentq(lambda t: rates.cgf_L_prime(pair, t) - u, 0.0, 100.0,
+                        xtol=1e-15, rtol=8.9e-16, maxiter=500)
+        for t in (theta, oracle):
+            assert abs(rates.cgf_L_prime(pair, t) / u - 1.0) <= 1e-12
+        assert abs(theta - oracle) <= 4 * math.ulp(oracle)
 
 
 class TestKernelEntropy:
