@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 import numpy as np
 
 from . import ensembles, kernels, measures, qve, rates, suites, trees
-from .errors import QvelabError
+from .errors import DomainError, QvelabError
 
 _COMPLEX_RE = re.compile(
     r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -115,6 +116,8 @@ def cmd_moments(args):
 
 def cmd_rate(args):
     pair = rates.LegendrePair(_load_law(args.law))
+    if not (math.isfinite(args.u_min) and math.isfinite(args.u_max)):
+        raise DomainError("--u-min and --u-max must be finite")
     us = np.linspace(args.u_min, args.u_max, args.num)
     rows = rates.rate_table(pair, us)
     text = "u,h_L\n" + "".join(f"{u!r},{h!r}\n" for u, h in rows)

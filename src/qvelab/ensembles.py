@@ -1,12 +1,15 @@
 """Sparse Wigner samples, exponential tilting, spectra and resolvent identities.
 
-Per-entry randomness comes from a counter-based hash of (seed, i, j, stream),
-so sampling is order-independent, reproducible, and parallelizable; identical
-seeds give bit-identical samples.
+A sample is stored as upper-triangle edge triplets; its dense matrix is built
+on first use.  Per-entry randomness comes from a counter-based hash of
+(seed, i, j, stream), so sampling is order-independent, reproducible, and
+parallelizable; identical seeds give bit-identical samples.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,38 +51,57 @@ def entry_uniform(seed: int, i: np.ndarray, j: np.ndarray, stream: int) -> np.nd
 
 @dataclass
 class SparseWignerSample:
-    """Realized X = (A o Xi) / sqrt(np) with its ingredients."""
+    """Realized X = (A o Xi) / sqrt(np), kept as the edges rows < cols of Xi."""
 
     n: int
     p: float
-    entries: np.ndarray   # X, symmetric, zero diagonal
-    mask: np.ndarray      # Xi, symmetric 0/1, zero diagonal
-    raw: np.ndarray       # A restricted to the mask support
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray    # A on each edge, a zero atom of the law included
     seed: int
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:  # X, symmetric, zero diagonal
+        scale = np.sqrt(self.n * self.p)
+        return _dense(self.n, self.rows, self.cols, self.values / scale)
 
     @property
     def matrix(self) -> np.ndarray:
         return self.entries
 
     @property
+    def mask(self) -> np.ndarray:  # Xi, symmetric 0/1, zero diagonal
+        return _dense(self.n, self.rows, self.cols, np.ones(self.rows.size))
+
+    @property
+    def raw(self) -> np.ndarray:  # A restricted to the mask support
+        return _dense(self.n, self.rows, self.cols, self.values)
+
+    @property
     def edge_count(self) -> int:
-        return int(np.triu(self.mask, 1).sum())
+        return int(self.rows.size)
 
 
-def _upper_indices(n: int):
-    return np.triu_indices(n, k=1)
-
-
-def _symmetrize_from_upper(n: int, iu, vals: np.ndarray) -> np.ndarray:
+def _dense(n: int, rows, cols, vals) -> np.ndarray:
     out = np.zeros((n, n))
-    out[iu] = vals
+    out[rows, cols] = vals
     return out + out.T
 
 
-def _draw_values(u: np.ndarray, support: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return support[np.searchsorted(cum, u, side="right")]
+def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
+          p_edge: np.ndarray, probs: np.ndarray) -> SparseWignerSample:
+    """Upper-triangle draw: (i, j) in blocks a = block[i], b = block[j] is an
+    edge with probability p_edge[a, b], and its value has law probs[a, b]."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    rows, cols = np.triu_indices(n, k=1)
+    keep = np.flatnonzero(entry_uniform(seed, rows, cols, 0)
+                          < p_edge[block[rows], block[cols]])
+    rows, cols = rows[keep], cols[keep]
+    u_val = entry_uniform(seed, rows, cols, 1)
+    # count of cum entries <= u, i.e. searchsorted(cum, u, side="right")
+    idx = (u_val[:, None] >= cum[block[rows], block[cols]]).sum(1)
+    return SparseWignerSample(n, p, rows, cols, support[idx], seed)
 
 
 def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
@@ -90,15 +112,8 @@ def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
         raise ValueError("n must be >= 1")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0,1)")
-    iu = _upper_indices(n)
-    u_mask = entry_uniform(seed, iu[0], iu[1], 0)
-    u_val = entry_uniform(seed, iu[0], iu[1], 1)
-    xi_u = (u_mask < p).astype(float)
-    a_u = _draw_values(u_val, law.support, law.probs) * xi_u
-    mask = _symmetrize_from_upper(n, iu, xi_u)
-    raw = _symmetrize_from_upper(n, iu, a_u)
-    entries = raw / np.sqrt(n * p)
-    return SparseWignerSample(n, p, entries, mask, raw, seed)
+    return _draw(n, p, seed, law.support, np.zeros(n, dtype=int),
+                 np.array([[p]]), law.probs[None, None])
 
 
 def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
@@ -121,31 +136,16 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
 
     pair = LegendrePair(law)
     v2 = law.support ** 2
-    block_size = n // k
-    iu = _upper_indices(n)
-    bi, bj = iu[0] // block_size, iu[1] // block_size
-    u_mask = entry_uniform(seed, iu[0], iu[1], 0)
-    u_val = entry_uniform(seed, iu[0], iu[1], 1)
-
-    xi_u = np.zeros(iu[0].size)
-    a_u = np.zeros(iu[0].size)
+    p_edge = np.empty((k, k))
+    probs = np.empty((k, k, law.support.size))
     for a in range(k):
         for b in range(a, k):
-            sel = ((bi == a) & (bj == b)) | ((bi == b) & (bj == a))
-            if not sel.any():
-                continue
             theta = h_L_prime(pair, float(U.values[a, b]))
             Z = 1.0 + p * cgf_L(pair, theta)
-            p_edge = p * (cgf_L(pair, theta) + 1.0) / Z
+            p_edge[a, b] = p_edge[b, a] = p * (cgf_L(pair, theta) + 1.0) / Z
             cond = law.probs * np.exp(theta * v2)
-            cond = cond / cond.sum()
-            edge = u_mask[sel] < p_edge
-            xi_u[sel] = edge.astype(float)
-            a_u[sel] = _draw_values(u_val[sel], law.support, cond) * edge
-    mask = _symmetrize_from_upper(n, iu, xi_u)
-    raw = _symmetrize_from_upper(n, iu, a_u)
-    entries = raw / np.sqrt(n * p)
-    return SparseWignerSample(n, p, entries, mask, raw, seed)
+            probs[a, b] = probs[b, a] = cond / cond.sum()
+    return _draw(n, p, seed, law.support, np.arange(n) // (n // k), p_edge, probs)
 
 
 @dataclass
@@ -177,7 +177,7 @@ def esm(sample_or_matrix) -> EmpiricalSpectralMeasure:
 
 def empirical_kernel(sample: SparseWignerSample) -> StepKernel:
     """Kernel of the realized weighted graph: values xi_ij A_ij^2 / p."""
-    return kernel_from_graph(sample.raw ** 2 * sample.mask, sample.p)
+    return kernel_from_graph(sample.raw ** 2, sample.p)
 
 
 def resolvent(M, z) -> np.ndarray:
@@ -217,26 +217,25 @@ def ward_residual(M, z, j: int) -> float:
 
 
 def save_sample_csv(sample: SparseWignerSample, path):
-    """Sparse triplet export (i, j, value) of the upper triangle of X."""
-    iu = _upper_indices(sample.n)
-    vals = sample.entries[iu]
+    """Sparse triplet export (i, j, value) of the nonzero upper triangle of X."""
+    vals = sample.values / np.sqrt(sample.n * sample.p)
     nz = vals != 0
+    text = "".join(f"{i},{j},{v!r}\n" for i, j, v in zip(
+        sample.rows[nz].tolist(), sample.cols[nz].tolist(), vals[nz].tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("i,j,value\n")
-        for i, j, v in zip(iu[0][nz], iu[1][nz], vals[nz]):
-            fh.write(f"{i},{j},{float(v)!r}\n")
+        fh.write("i,j,value\n" + text)
 
 
 def load_sample_csv(path, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, v = line.split(",")
-            out[int(i), int(j)] = float(v)
-    return out + out.T
+    """Dense X from a triplet CSV; ValueError unless each line is i,j,value
+    with integers 0 <= i < j < n."""
+    with warnings.catch_warnings():  # a header-only file is an empty sample
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        i, j, v = np.loadtxt(path, dtype="i8,i8,f8", delimiter=",", skiprows=1,
+                             ndmin=1, unpack=True)
+    if np.any((i < 0) | (i >= j) | (j >= n)):
+        raise ValueError(f"{path}: sample CSV indices must satisfy 0 <= i < j < {n}")
+    return _dense(n, i, j, v)
 
 
 def save_eigenvalues_csv(e: EmpiricalSpectralMeasure, path):

@@ -21,7 +21,6 @@ from .errors import (
     AsymmetricInput,
     ExactTooLarge,
     PartMeasureMismatch,
-    PartitionMismatch,
 )
 
 _TOL = 1e-12
@@ -462,6 +461,20 @@ def _random_partition(n: int, min_size: int, rng: np.random.Generator):
     return [list(range(n))]
 
 
+def _group_average(W: StepKernel, groups):
+    """Measure-weighted averages of W over each pair of groups of its parts,
+    with the groups' measures."""
+    mu = W.partition.part_measures
+    sizes = np.array([mu[g].sum() for g in groups])
+    block = np.empty((len(groups), len(groups)))
+    for i, gi in enumerate(groups):
+        for j, gj in enumerate(groups):
+            block[i, j] = (mu[gi] @ W.values[np.ix_(gi, gj)] @ mu[gj]) / (
+                sizes[i] * sizes[j]
+            )
+    return block, sizes
+
+
 def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
                            seed: int = 0, n_random: int = 100,
                            contiguous_cap: int = 5000) -> RegularityReport:
@@ -477,8 +490,6 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
     n = W.k
     min_size = max(1, math.ceil(eta * n - 1e-12))
     kfun = K if callable(K) else (lambda e, table=dict(K): table[e])
-    mu = W.partition.part_measures
-    V = W.values
 
     if n <= 8:
         candidates = [p for p in _set_partitions(n)
@@ -493,13 +504,7 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
 
     tested = 0
     for groups in candidates:
-        sizes = np.array([mu[g].sum() for g in groups])
-        block = np.empty((len(groups), len(groups)))
-        for i, gi in enumerate(groups):
-            for j, gj in enumerate(groups):
-                block[i, j] = (mu[gi] @ V[np.ix_(gi, gj)] @ mu[gj]) / (
-                    sizes[i] * sizes[j]
-                )
+        block, sizes = _group_average(W, groups)
         wt = np.outer(sizes, sizes)
         tested += 1
         for eps in eps_list:
@@ -526,14 +531,7 @@ def weak_regularity_partition(W: StepKernel, eps: float, max_parts: int = 64,
         labels = np.empty(n, dtype=int)
         for g, idx in enumerate(groups):
             labels[idx] = g
-        sizes = np.array([mu[g].sum() for g in groups])
-        agg = np.zeros((len(groups), len(groups)))
-        for i, gi in enumerate(groups):
-            for j, gj in enumerate(groups):
-                agg[i, j] = (mu[gi] @ W.values[np.ix_(gi, gj)] @ mu[gj]) / (
-                    sizes[i] * sizes[j]
-                )
-        stepped = agg[np.ix_(labels, labels)]
+        stepped = _group_average(W, groups)[0][np.ix_(labels, labels)]
         diff = (W.values - stepped) * np.outer(mu, mu)
         if n <= MAX_EXACT_CUTNORM:
             val, s, t = _cut_norm_exact(diff)

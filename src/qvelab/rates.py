@@ -120,8 +120,8 @@ def h_L_prime(pair: LegendrePair, u: float) -> float:
     Newton from a crude log guess, with a bisection fallback on an expanding
     bracket.  Memoized; the memoized path is bit-identical to the direct one.
     """
-    if u <= 0:
-        raise DomainError("h_L' defined for u > 0 only")
+    if not (math.isfinite(u) and u > 0):
+        raise DomainError(f"h_L' defined for finite u > 0 only, got {u!r}")
     key = float(u)
     memo = pair._theta_memo
     if key in memo:

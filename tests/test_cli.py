@@ -153,6 +153,43 @@ class TestExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DomainError"
 
+    def _spectrum_of_csv(self, path, n, capsys):
+        code, out, err = run(["spectrum", "--matrix", str(path), "--n", str(n),
+                              "--out", str(path.with_suffix(".eig"))], capsys)
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        return code, json.loads(lines[0])
+
+    def test_sample_larger_than_n_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        assert run(["sample", "--n", "50", "--p", "0.2", "--seed", "1",
+                    "--out", str(path)], capsys)[0] == 0
+        code, line = self._spectrum_of_csv(path, 10, capsys)
+        assert code == 2 and line["error"] == "ValueError"
+
+    def test_negative_index_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("i,j,value\n-1,3,0.5\n")
+        code, line = self._spectrum_of_csv(path, 5, capsys)
+        assert code == 2 and line["error"] == "ValueError"
+
+    def test_diagonal_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("i,j,value\n2,2,0.5\n")
+        code, line = self._spectrum_of_csv(path, 5, capsys)
+        assert code == 2 and line["error"] == "ValueError"
+
+    @pytest.mark.parametrize("bounds", [["--u-min", "1", "--u-max", "inf"],
+                                        ["--u-min", "nan", "--u-max", "5"]])
+    def test_rate_non_finite_bound_exits_2(self, bounds):
+        proc = run_python(["-m", "qvelab.cli", "rate", *bounds, "--num", "3"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+
     def test_eig_failure_exits_1(self, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -295,6 +332,28 @@ class TestDeterminism:
                 "--out", str(out)]
         assert (self._bytes_of(argv, out, capsys)
                 == self._bytes_of(argv, out, capsys))
+
+    def test_empty_sample_round_trip(self, tmp_path):
+        # n = 1 has no upper triangle: a header-only sample CSV, a 1 x 1 zero
+        # matrix, one stderr line per command and byte-identical reruns
+        x, eig = tmp_path / "x.csv", tmp_path / "eig.csv"
+        argvs = [["sample", "--n", "1", "--p", "0.5", "--out", str(x)],
+                 ["spectrum", "--matrix", str(x), "--n", "1", "--out", str(eig)],
+                 ["compare", "--a", str(eig), "--b", "semicircle"]]
+
+        def once():
+            got = []
+            for argv, out in zip(argvs, (x, eig, None)):
+                proc = run_python(["-m", "qvelab.cli", *argv])
+                assert proc.returncode == 0
+                assert len(proc.stderr.splitlines()) == 1
+                json.loads(proc.stderr)
+                got.append(out.read_bytes() if out else proc.stdout)
+            return got
+
+        first = once()
+        assert first[:2] == [b"i,j,value\n", b"eigenvalue\n0.0\n"]
+        assert once() == first
 
     def test_qve_measure_rerun_identical(self, tmp_path, const1_kernel, capsys):
         out = tmp_path / "m.csv"

@@ -1,9 +1,14 @@
 """Tests for qvelab.ensembles: sampling, tilting, spectra, resolvent identities."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvelab import ensembles, kernels, rates
 from qvelab.errors import (
@@ -16,6 +21,7 @@ from qvelab.rates import EntryLaw, LegendrePair
 
 
 RADEMACHER = EntryLaw.rademacher()
+ZERO_ATOM = EntryLaw([-1.0, 0.0, 2.0], [1 / 3, 1 / 2, 1 / 6])
 
 
 class TestSampleSparseWigner:
@@ -63,6 +69,83 @@ class TestSampleSparseWigner:
             ensembles.sample_sparse_wigner(10, 1.0, RADEMACHER, 0)
 
 
+@st.composite
+def sampler_cases(draw):
+    """(n, p, seed, U): 2 <= n <= 24, and an equal-block kernel U with k | n."""
+    k = draw(st.integers(1, 4))
+    n = k * draw(st.integers(2 if k == 1 else 1, 24 // k))
+    p = draw(st.floats(0.01, 0.99))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    vals = draw(arrays(float, (k, k), elements=st.floats(0.2, 5.0)))
+    U = StepKernel(Partition.equal(k), np.triu(vals) + np.triu(vals, 1).T)
+    return n, p, seed, U
+
+
+def _law_tables(p, U, tilted):
+    """Scalar oracle of the law of block pair (a, b): the edge probability
+    and the cumulative value law, its last entry forced to 1."""
+    pair = LegendrePair(ZERO_ATOM)
+
+    def table(a, b):
+        p_edge, probs = p, ZERO_ATOM.probs
+        if tilted:
+            theta = rates.h_L_prime(pair, float(U.values[a, b]))
+            L = rates.cgf_L(pair, theta)
+            p_edge = p * (L + 1.0) / (1.0 + p * L)
+            probs = probs * np.exp(theta * ZERO_ATOM.support ** 2)
+            probs = probs / probs.sum()
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        return p_edge, cum
+    return table
+
+
+def _draw_case(case, tilted):
+    n, p, seed, U = case
+    if tilted:
+        return ensembles.tilted_sample(n, p, ZERO_ATOM, U, seed)
+    return ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, seed)
+
+
+class TestSamplerProperties:
+    """Plain and tilted draws with a law that has a 0 atom."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sampler_cases(), tilted=st.booleans(), data=st.data())
+    def test_pairs_match_scalar_oracle(self, case, tilted, data):
+        # per-pair edge presence and value from the two hash streams
+        n, p, seed, U = case
+        s = _draw_case(case, tilted)
+        edges = dict(zip(zip(s.rows.tolist(), s.cols.tolist()), s.values.tolist()))
+        table = _law_tables(p, U, tilted)
+        size = n // U.k
+        for _ in range(6):
+            i = data.draw(st.integers(0, n - 2))
+            j = data.draw(st.integers(i + 1, n - 1))
+            p_edge, cum = table(i // size, j // size)
+            if float(ensembles.entry_uniform(seed, i, j, 0)) < p_edge:
+                u = float(ensembles.entry_uniform(seed, i, j, 1))
+                value = ZERO_ATOM.support[np.searchsorted(cum, u, "right")]
+                assert edges[(i, j)] == value
+            else:
+                assert (i, j) not in edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=sampler_cases(), tilted=st.booleans())
+    def test_csv_round_trip_and_zero_valued_edges(self, case, tilted):
+        s = _draw_case(case, tilted)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sample.csv")
+            ensembles.save_sample_csv(s, path)
+            back = ensembles.load_sample_csv(path, s.n)
+            with open(path) as fh:
+                written = len(fh.read().splitlines()) - 1
+        assert back.tobytes() == s.entries.tobytes()
+        # the CSV omits zero-valued edges; edge_count keeps them
+        assert s.edge_count == written + int(np.count_nonzero(s.values == 0))
+        assert s.edge_count == int(np.triu(s.mask, 1).sum())
+
+
 class TestEsm:
     def test_zero_matrix(self):
         # [TRIVIAL] delta_0
@@ -93,8 +176,8 @@ class TestEsm:
 class TestEmpiricalKernel:
     def test_zero_mask(self):
         # [TRIVIAL]
-        s = ensembles.SparseWignerSample(
-            3, 0.5, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)), 0)
+        none = np.zeros(0, dtype=int)
+        s = ensembles.SparseWignerSample(3, 0.5, none, none, np.zeros(0), 0)
         W = ensembles.empirical_kernel(s)
         assert np.array_equal(W.values, np.zeros((3, 3)))
 
@@ -259,6 +342,14 @@ class TestCsvIo:
         ensembles.save_sample_csv(s, path)
         back = ensembles.load_sample_csv(path, 25)
         assert np.array_equal(back, s.entries)
+
+    @pytest.mark.parametrize("line", ["-1,3,0.5", "2,2,0.5", "4,3,0.5", "0,9,0.5",
+                                      "0,1", "0,1,0.5,7", "0.5,1,0.5"])
+    def test_malformed_triplet_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"i,j,value\n0,1,0.25\n{line}\n")
+        with pytest.raises(ValueError):
+            ensembles.load_sample_csv(path, 9)
 
     def test_eigenvalue_export(self, tmp_path):
         e = ensembles.esm(np.diag([1.0, 2.0]))

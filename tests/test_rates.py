@@ -139,6 +139,12 @@ class TestLegendreHL:
             theta = rates.h_L_prime(pair, u)
             assert abs(rates.cgf_L_prime(pair, theta) - u) <= 1e-9 * max(1.0, u)
 
+    def test_h_L_prime_rejects_non_finite(self):
+        pair = LegendrePair(SPREAD_LAW)
+        for u in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                rates.h_L_prime(pair, u)
+
 
 class TestHLPrimeBisection:
     """u values where Newton misses and the bisection fallback decides."""
