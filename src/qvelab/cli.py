@@ -59,12 +59,6 @@ def _load_measure(spec: str) -> measures.ProbMeasure1D:
         return qve.semicircle_reference()
     if spec.endswith(".json"):
         return qve.qve_measure(kernels.load_kernel(spec))
-    # eigenvalue list or measure CSV
-    with open(spec) as fh:
-        header = fh.readline().strip()
-    if header == "eigenvalue":
-        vals = np.loadtxt(spec, skiprows=1)
-        return measures.ProbMeasure1D.from_atoms(np.atleast_1d(vals))
     return measures.load_measure_csv(spec)
 
 

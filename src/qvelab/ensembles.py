@@ -104,14 +104,19 @@ def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
     return SparseWignerSample(n, p, rows, cols, support[idx], seed)
 
 
-def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
-                         seed: int) -> SparseWignerSample:
-    """Sparse Wigner matrix: Bernoulli(p) mask above the diagonal, i.i.d. law
-    entries, normalized by sqrt(np)."""
+def _check_size(n: int, p: float):
+    """The sample size and edge probability every sampler accepts."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0,1)")
+
+
+def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
+                         seed: int) -> SparseWignerSample:
+    """Sparse Wigner matrix: Bernoulli(p) mask above the diagonal, i.i.d. law
+    entries, normalized by sqrt(np)."""
+    _check_size(n, p)
     return _draw(n, p, seed, law.support, np.zeros(n, dtype=int),
                  np.array([[p]]), law.probs[None, None])
 
@@ -124,6 +129,7 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     reweighted by exp(theta xi A^2)/Z with theta = h_L'(u) and the exact
     partition function Z = 1 + p L(theta).
     """
+    _check_size(n, p)
     k = U.k
     if n % k != 0:
         raise DivisibilityError(f"block count {k} must divide n = {n}")
@@ -131,8 +137,6 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
         raise DivisibilityError("tilting kernel must have equal part measures")
     if np.any(U.values <= 0):
         raise KernelNotPositive("tilting kernel values must be strictly positive")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0,1)")
 
     pair = LegendrePair(law)
     v2 = law.support ** 2
@@ -228,13 +232,24 @@ def save_sample_csv(sample: SparseWignerSample, path):
 
 def load_sample_csv(path, n: int) -> np.ndarray:
     """Dense X from a triplet CSV; ValueError unless each line is i,j,value
-    with integers 0 <= i < j < n."""
+    with integers 0 <= i < j < n, a finite value and a pair (i, j) no other
+    line repeats."""
     with warnings.catch_warnings():  # a header-only file is an empty sample
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         i, j, v = np.loadtxt(path, dtype="i8,i8,f8", delimiter=",", skiprows=1,
                              ndmin=1, unpack=True)
     if np.any((i < 0) | (i >= j) | (j >= n)):
         raise ValueError(f"{path}: sample CSV indices must satisfy 0 <= i < j < {n}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"{path}: sample CSV value {float(v[b])!r} at "
+                         f"({i[b]}, {j[b]}) is not finite")
+    key = np.sort(i * n + j)
+    repeat = np.flatnonzero(key[1:] == key[:-1])
+    if repeat.size:
+        a, b = divmod(int(key[repeat[0]]), n)
+        raise ValueError(f"{path}: sample CSV repeats the entry ({a}, {b})")
     return _dense(n, i, j, v)
 
 

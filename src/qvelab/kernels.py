@@ -247,6 +247,9 @@ def l1_norm(W: StepKernel) -> float:
 
 MAX_EXACT_CUTNORM = 12
 MAX_EXACT_CUTDIST = 8
+HEURISTIC_RESTARTS = 20         # random starts of the heuristic cut norm
+ANNEAL_PROPOSALS = 10_000       # transpositions proposed by anneal mode
+ANNEAL_COOLING = 0.995          # temperature factor per proposal
 
 
 @dataclass
@@ -292,11 +295,12 @@ def _cut_norm_exact(M: np.ndarray):
     return float(val), s, t
 
 
-def _cut_norm_heuristic(M: np.ndarray, rng: np.random.Generator, restarts=20):
-    """Randomized greedy local search; certified lower bound only."""
+def _cut_norm_heuristic(M: np.ndarray, rng: np.random.Generator):
+    """Randomized greedy local search from HEURISTIC_RESTARTS random starts;
+    certified lower bound only."""
     k = M.shape[0]
     best_val, best_s, best_t = 0.0, np.zeros(k), np.zeros(k)
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         s = (rng.random(k) < 0.5).astype(float)
         t = (rng.random(k) < 0.5).astype(float)
         improved = True
@@ -354,12 +358,12 @@ def _align_equal_parts(W1: StepKernel, W2: StepKernel):
 
 
 def cut_distance(W1: StepKernel, W2: StepKernel, mode: str = "exact",
-                 seed: int = 0, proposals: int = 10_000,
-                 cooling: float = 0.995) -> CutDistance:
+                 seed: int = 0) -> CutDistance:
     """min over part permutations sigma of ||W1 - W2^sigma||_box.
 
     Exact mode enumerates all k! permutations (k <= 8); anneal mode runs
-    simulated annealing over transpositions and returns an upper bound.
+    simulated annealing over ANNEAL_PROPOSALS transpositions, cooling by
+    ANNEAL_COOLING per proposal, and returns an upper bound.
     """
     a, b = _align_equal_parts(W1, W2)
     k = a.k
@@ -389,7 +393,7 @@ def cut_distance(W1: StepKernel, W2: StepKernel, mode: str = "exact",
         cur = cost(perm)
         best_val, best_perm = cur, tuple(perm)
         temp = max(cur, 1e-3)
-        for _ in range(proposals):
+        for _ in range(ANNEAL_PROPOSALS):
             i, j = rng.integers(0, k, size=2)
             if i == j:
                 continue
@@ -401,13 +405,17 @@ def cut_distance(W1: StepKernel, W2: StepKernel, mode: str = "exact",
                     best_val, best_perm = cur, tuple(perm)
             else:
                 perm[i], perm[j] = perm[j], perm[i]
-            temp *= cooling
+            temp *= ANNEAL_COOLING
         return CutDistance(best_val, False, best_perm)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # upper regularity
+
+REGULARITY_CONTIGUOUS_CAP = 5000    # interval partitions tested for n > 8 parts
+REGULARITY_RANDOM_PARTITIONS = 100  # random partitions tested for n > 8 parts
+WEAK_REGULARITY_MAX_PARTS = 64      # part cap of the weak-regularity loop
 
 
 @dataclass
@@ -476,14 +484,15 @@ def _group_average(W: StepKernel, groups):
 
 
 def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
-                           seed: int = 0, n_random: int = 100,
-                           contiguous_cap: int = 5000) -> RegularityReport:
+                           seed: int = 0) -> RegularityReport:
     """Test the upper-regularity mass condition over a family of partitions.
 
     For each candidate partition P (parts of measure >= eta) and eps, checks
     that the mass of the P-stepped kernel above K(eps) is at most eps.  The
-    family is exhaustive only for n <= 8 parts; otherwise the report is
-    flagged partial.
+    family is exhaustive only for n <= 8 parts; otherwise it is the first
+    REGULARITY_CONTIGUOUS_CAP interval partitions and
+    REGULARITY_RANDOM_PARTITIONS random ones, and the report is flagged
+    partial.
     """
     if not W.partition.is_equal_measure():
         raise PartMeasureMismatch("upper regularity check expects equal parts")
@@ -497,9 +506,10 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
         partial = False
     else:
         rng = np.random.default_rng(seed)
-        candidates = _contiguous_partitions(n, min_size, contiguous_cap)
+        candidates = _contiguous_partitions(n, min_size,
+                                            REGULARITY_CONTIGUOUS_CAP)
         candidates += [_random_partition(n, min_size, rng)
-                       for _ in range(n_random)]
+                       for _ in range(REGULARITY_RANDOM_PARTITIONS)]
         partial = True
 
     tested = 0
@@ -515,13 +525,13 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
     return RegularityReport(True, partial, tested, None)
 
 
-def weak_regularity_partition(W: StepKernel, eps: float, max_parts: int = 64,
-                              seed: int = 0):
+def weak_regularity_partition(W: StepKernel, eps: float, seed: int = 0):
     """Weak-regularity refinement loop (heuristic).
 
     Repeatedly finds the cut-norm witness of W - W_P and splits the groups of
     P by it, stopping when the cut norm drops below eps or the part count
-    exceeds the cap.  Returns (grouping of W's parts, achieved cut norm).
+    reaches WEAK_REGULARITY_MAX_PARTS.  Returns (grouping of W's parts,
+    achieved cut norm).
     """
     n = W.k
     mu = W.partition.part_measures
@@ -537,7 +547,7 @@ def weak_regularity_partition(W: StepKernel, eps: float, max_parts: int = 64,
             val, s, t = _cut_norm_exact(diff)
         else:
             val, s, t = _cut_norm_heuristic(diff, np.random.default_rng(seed))
-        if val <= eps or len(groups) >= max_parts:
+        if val <= eps or len(groups) >= WEAK_REGULARITY_MAX_PARTS:
             return groups, val
         new_groups = []
         for idx in groups:
@@ -568,7 +578,12 @@ def kernel_to_json(W: StepKernel) -> str:
 
 
 def kernel_from_json(text: str) -> StepKernel:
+    """Kernel from {"boundaries": [...], "values": [[...]]}; ValueError naming
+    the first missing key."""
     data = json.loads(text)
+    for key in ("boundaries", "values"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"kernel JSON has no {key!r} key")
     bounds = [Fraction(b) if isinstance(b, str) else float(b)
               for b in data["boundaries"]]
     return StepKernel(Partition(bounds), np.array(data["values"]))

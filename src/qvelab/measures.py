@@ -8,6 +8,7 @@ every inequality asserted against it therefore holds a fortiori.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ METRIC_D_GRID = (_D_RE[:, None] + 1j * _D_IM[None, :]).ravel()
 # entries per row block of a batched Stieltjes evaluation: 256 kB per array
 # keeps a block in cache
 _BLOCK_ENTRIES = 1 << 15
+# midpoint quantile levels of a Wasserstein distance involving a grid measure
+QUANTILE_GRID = 10_000
+# grid-inversion slacks of the appendix inequalities (W2 <= sqrt(L1) and
+# d <= 2|E|); they are constants so that no call can loosen a check
+HW_SLACK = 2e-3
+INTERLACING_SLACK = 1e-3
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -63,14 +70,14 @@ class ProbMeasure1D:
         return cls("atoms", v[order], w=w[order] / total)
 
     @classmethod
-    def from_grid(cls, x, density, normalize=True) -> "ProbMeasure1D":
+    def from_grid(cls, x, density) -> "ProbMeasure1D":
+        """Grid measure of the clipped density, renormalized to mass 1."""
         x = np.asarray(x, dtype=float)
         rho = np.clip(np.asarray(density, dtype=float), 0.0, None)
         mass = _trapezoid_weights(x) @ rho
         if mass <= 0:
             raise ValueError("density has no mass on the grid")
-        if normalize:
-            rho = rho / mass
+        rho = rho / mass
         cdf = _cumtrapz(rho, x)
         cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
         return cls("grid", x, density=rho, cdf_values=cdf)
@@ -178,12 +185,11 @@ def ks_distance(mu: ProbMeasure1D, nu: ProbMeasure1D) -> float:
     return float(max(d_right.max(), d_left.max()))
 
 
-def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int = 1,
-                n_grid: int = 10_000) -> float:
+def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int = 1) -> float:
     """1-D L^p Wasserstein distance via quantile functions.
 
     Atom pairs integrate exactly over merged CDF levels; anything involving a
-    grid measure uses a midpoint quantile grid.
+    grid measure uses QUANTILE_GRID midpoint levels.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -196,7 +202,7 @@ def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int = 1,
         q1, q2 = mu.quantile(mids), nu.quantile(mids)
         total = float(np.sum(gaps * np.abs(q1 - q2) ** order))
         return total ** (1.0 / order)
-    t = (np.arange(n_grid) + 0.5) / n_grid
+    t = (np.arange(QUANTILE_GRID) + 0.5) / QUANTILE_GRID
     q1, q2 = mu.quantile(t), nu.quantile(t)
     return float(np.mean(np.abs(q1 - q2) ** order) ** (1.0 / order))
 
@@ -215,22 +221,23 @@ def metric_inequality_check(mu: ProbMeasure1D, nu: ProbMeasure1D) -> CheckReport
 # appendix inequalities on QVE measures (lazy import avoids a module cycle)
 
 
-def hw_check(W, W_prime, slack: float = 2e-3, grid=None) -> CheckReport:
+def hw_check(W, W_prime, grid=None) -> CheckReport:
     """Hoeffding/Wielandt-style bound: W2 of the spectral measures is at most
-    sqrt of the L1 distance of the kernels, up to grid-inversion slack."""
+    sqrt of the L1 distance of the kernels, up to the inversion slack
+    HW_SLACK."""
     from . import kernels as kmod
     from . import qve
 
     lhs = wasserstein(qve.qve_measure(W, grid), qve.qve_measure(W_prime, grid), 2)
     rhs = float(np.sqrt(kmod.l1_norm(W.sub(W_prime))))
-    return CheckReport(lhs, rhs + slack, lhs <= rhs + slack,
-                       {"slack": slack})
+    return CheckReport(lhs, rhs + HW_SLACK, lhs <= rhs + HW_SLACK,
+                       {"slack": HW_SLACK})
 
 
-def interlacing_check(W, W_prime, E_measure: float,
-                      slack: float = 1e-3, grid=None) -> CheckReport:
+def interlacing_check(W, W_prime, E_measure: float, grid=None) -> CheckReport:
     """Kernel interlacing: metric_d of the spectral measures is at most twice
-    the measure of the part set where the kernels differ."""
+    the measure of the part set where the kernels differ, up to the
+    inversion slack INTERLACING_SLACK."""
     from . import qve
 
     a, b = W, W_prime
@@ -252,12 +259,17 @@ def interlacing_check(W, W_prime, E_measure: float,
         )
     lhs = metric_d(qve.qve_measure(a, grid), qve.qve_measure(b, grid))
     rhs = 2.0 * E_measure
-    return CheckReport(lhs, rhs + slack, lhs <= rhs + slack,
+    return CheckReport(lhs, rhs + INTERLACING_SLACK,
+                       lhs <= rhs + INTERLACING_SLACK,
                        {"measure_diff": measure_diff})
 
 
 # ---------------------------------------------------------------------------
 # CSV round trips
+
+
+# fields per row of each measure CSV header
+_MEASURE_CSV_WIDTH = {"eigenvalue": 1, "x,weight": 2, "x,density,cdf": 3}
 
 
 def save_measure_csv(mu: ProbMeasure1D, path):
@@ -273,12 +285,25 @@ def save_measure_csv(mu: ProbMeasure1D, path):
 
 
 def load_measure_csv(path) -> ProbMeasure1D:
+    """Measure from a CSV with the header ``eigenvalue`` (equal atoms, as
+    ``save_eigenvalues_csv`` writes), ``x,weight`` (atoms) or
+    ``x,density,cdf`` (a grid); ValueError for any other header, for a row
+    whose field count differs from the header's, or for a file with no rows."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    data = np.array(rows)
-    if header == ["x", "weight"]:
+        header = fh.readline().strip()
+        width = _MEASURE_CSV_WIDTH.get(header)
+        if width is None:
+            raise ValueError(f"unrecognized measure CSV header: {header.split(',')}")
+        with warnings.catch_warnings():  # a header-only file is handled below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: measure CSV has no rows")
+    if data.shape[1] != width:
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, header "
+                         f"{header!r} has {width}")
+    if width == 1:
+        return ProbMeasure1D.from_atoms(data[:, 0])
+    if width == 2:
         return ProbMeasure1D.from_atoms(data[:, 0], data[:, 1])
-    if header == ["x", "density", "cdf"]:
-        return ProbMeasure1D.from_grid_cdf(data[:, 0], data[:, 1], data[:, 2])
-    raise ValueError(f"unrecognized measure CSV header: {header}")
+    return ProbMeasure1D.from_grid_cdf(data[:, 0], data[:, 1], data[:, 2])

@@ -26,21 +26,28 @@ from .kernels import StepKernel, degree_function
 from .measures import ProbMeasure1D, _trapezoid_weights
 from .report import CheckReport
 
-RESIDUAL_TOL = 1e-12
+# Numerical contracts and search sizes.  They are module constants, not
+# arguments, so no call can loosen a contract.
+RESIDUAL_TOL = 1e-12            # sup-norm residual of every accepted solution
 MAX_ITER = 100                  # Newton steps per point and continuation level
 CONTINUATION_FACTOR = 16.0      # Im z ratio between continuation levels
 MIN_FACTOR = 1.05               # smallest ratio a failing level is retried at
 NEWTON_BLOCK = 1000             # points per batched Newton solve
 LEVEL_TOL = 1e-2                # residual that ends a level above the target
-STABILITY_KAPPA = 128.0
+STABILITY_KAPPA = 128.0         # constant of the perturbation bound
+MIN_CAPTURED_MASS = 0.99        # grid mass an inversion must capture
+GRID_POINTS = 4000              # points of the default inversion grid
+GRID_ETA = 1e-3                 # Im z of the default inversion grid
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
+    """n_points equispaced x in [x_min, x_max], evaluated at x + i eta."""
+
     x_min: float
     x_max: float
-    n_points: int = 4000
-    eta: float = 1e-3
+    n_points: int
+    eta: float
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
@@ -55,17 +62,20 @@ class SpectralGrid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
+# the points semicircle_reference samples the law on
+SEMICIRCLE_GRID = SpectralGrid(-2.2, 2.2, 2000, GRID_ETA)
+
+
 @dataclass
 class QveSolution:
     z_points: np.ndarray           # (nz,) complex
     m_values: np.ndarray           # (nz, k) complex, Im > 0
     residuals: np.ndarray          # (nz,) sup-norm residuals
+    part_measures: np.ndarray      # (k,) part measures of the kernel
 
     def average(self) -> np.ndarray:
         """Stieltjes transform of the QVE measure at each z."""
-        return self.m_values @ self._measures
-
-    _measures: np.ndarray = None
+        return self.m_values @ self.part_measures
 
 
 def _coupling_matrix(W: StepKernel) -> np.ndarray:
@@ -77,13 +87,14 @@ def _sup_res(m, zd, S):
     return np.abs(m + 1.0 / (zd + m @ S.T)).max(axis=1)
 
 
-def _newton(m, zd, S, tol, max_steps):
+def _newton(m, zd, S, tol):
     """Damped Newton on F(m) = m + 1/(zd + S m) at the unconverged points.
 
     ``tol`` is a scalar or one tolerance per point.  A step is halved until it
     lowers the residual and keeps Im m > 0 (the Herglotz branch); a point
-    where no halving does so stops.  Points are solved in blocks of
-    NEWTON_BLOCK.  Returns m and the residuals.
+    where no halving does so stops, and every point stops after MAX_ITER
+    steps.  Points are solved in blocks of NEWTON_BLOCK.  Returns m and the
+    residuals.
     """
     eye = np.eye(S.shape[0])
     res = _sup_res(m, zd, S)
@@ -93,7 +104,7 @@ def _newton(m, zd, S, tol, max_steps):
         idx = todo[lo:lo + NEWTON_BLOCK]
         mb, zb, rb, tb = m[idx], zd[idx], res[idx], tol[idx]
         live = np.ones(idx.size, dtype=bool)
-        for _ in range(max_steps):
+        for _ in range(MAX_ITER):
             live &= ~(rb <= tb)
             if not live.any():
                 break
@@ -123,7 +134,7 @@ def _newton(m, zd, S, tol, max_steps):
     return m, res
 
 
-def _continuation(z, shift, S, tol, max_steps):
+def _continuation(z, shift, S):
     """Newton down from Im z = top to the target Im z, one level at a time.
 
     At the top height max(4, 2 sqrt(||S||_inf)) the map m -> -1/(z + Sm)
@@ -131,20 +142,20 @@ def _continuation(z, shift, S, tol, max_steps):
     its height by its factor (CONTINUATION_FACTOR to start), warm-started from
     the level above: the QVE solution is stable in z, so that start lies on
     the Herglotz branch.  Levels above the target only need to start the next
-    one, so they stop at LEVEL_TOL; the target level stops at ``tol``.  A
+    one, so they stop at LEVEL_TOL; the target level at RESIDUAL_TOL.  A
     level that misses its tolerance is retried from the level above with the
     square root of the factor; a point whose factor falls below MIN_FACTOR
     keeps an infinite residual.
     """
-    loose = max(tol, LEVEL_TOL)
+    loose = max(RESIDUAL_TOL, LEVEL_TOL)
 
     def level_tol(h, target):
-        return np.where(h == target, tol, loose)
+        return np.where(h == target, RESIDUAL_TOL, loose)
 
     top = max(4.0, 2.0 * np.sqrt(np.abs(S).sum(axis=1).max()))
     height = np.maximum(z.imag, top)
     zd = (z.real + 1j * height)[:, None] + shift
-    m, res = _newton(-1.0 / zd, zd, S, level_tol(height, z.imag), max_steps)
+    m, res = _newton(-1.0 / zd, zd, S, level_tol(height, z.imag))
     factor = np.full(z.size, CONTINUATION_FACTOR)
     while True:
         idx = np.flatnonzero((height > z.imag) & (res <= loose)
@@ -154,7 +165,7 @@ def _continuation(z, shift, S, tol, max_steps):
         h = np.maximum(z.imag[idx], height[idx] / factor[idx])
         zd = (z[idx].real + 1j * h)[:, None] + shift[idx]
         ltol = level_tol(h, z.imag[idx])
-        mn, rn = _newton(m[idx], zd, S, ltol, max_steps)
+        mn, rn = _newton(m[idx], zd, S, ltol)
         ok = rn <= ltol
         m[idx[ok]], res[idx[ok]], height[idx[ok]] = mn[ok], rn[ok], h[ok]
         factor[idx[~ok]] = np.sqrt(factor[idx[~ok]])
@@ -162,16 +173,16 @@ def _continuation(z, shift, S, tol, max_steps):
     return m, res
 
 
-def solve_qve(W: StepKernel, z_points, tol: float = RESIDUAL_TOL,
-              max_iter: int = MAX_ITER, m0=None, shift=None) -> QveSolution:
-    """Solve the QVE of W at each z in the upper half-plane.
+def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
+    """Solve the QVE of W at each z in the upper half-plane to a sup-norm
+    residual of at most RESIDUAL_TOL.
 
     ``shift`` optionally adds d_i to z in coordinate i, solving
     -1/m_i = z + d_i + (Sm)_i; it has shape (k,), or (len(z_points), k) for
     one shift per point.  ``m0`` optionally warm-starts Newton at the
     target z (must lie in the upper half-plane entrywise); points it leaves
     unconverged, and all points without ``m0``, follow the eta-continuation
-    of ``_continuation``.  ``max_iter`` caps the Newton steps per point and
+    of ``_continuation``.  MAX_ITER caps the Newton steps per point and
     level.
     """
     z = np.atleast_1d(np.asarray(z_points, dtype=complex))
@@ -188,20 +199,18 @@ def solve_qve(W: StepKernel, z_points, tol: float = RESIDUAL_TOL,
         m = np.array(m0, dtype=complex).reshape(z.size, k)
         if np.any(m.imag <= 0):
             raise ValueError("warm start must have Im m > 0")
-        m, res = _newton(m, z[:, None] + d, S, tol, max_iter)
-    bad = ~(res <= tol)
+        m, res = _newton(m, z[:, None] + d, S, RESIDUAL_TOL)
+    bad = ~(res <= RESIDUAL_TOL)
     if bad.any():
-        m[bad], res[bad] = _continuation(z[bad], d[bad], S, tol, max_iter)
+        m[bad], res[bad] = _continuation(z[bad], d[bad], S)
 
-    bad = ~(res <= tol) | np.any(m.imag <= 0, axis=1)
+    bad = ~(res <= RESIDUAL_TOL) | np.any(m.imag <= 0, axis=1)
     if bad.any():
         raise NotConverged(
             f"QVE solver failed at {int(bad.sum())} of {z.size} points",
             points=z[bad],
         )
-    sol = QveSolution(z, m, res)
-    sol._measures = W.partition.part_measures
-    return sol
+    return QveSolution(z, m, res, W.partition.part_measures)
 
 
 def qve_stieltjes(W: StepKernel, z) -> complex:
@@ -216,10 +225,10 @@ def support_bound(W: StepKernel) -> float:
     return float(2.0 * np.sqrt(np.abs(S).sum(axis=1).max()))
 
 
-def default_grid(W: StepKernel, n_points: int = 4000,
-                 eta: float = 1e-3) -> SpectralGrid:
+def default_grid(W: StepKernel) -> SpectralGrid:
+    """GRID_POINTS points at Im z = GRID_ETA, one unit past the support bound."""
     b = support_bound(W)
-    return SpectralGrid(-b - 1.0, b + 1.0, n_points, eta)
+    return SpectralGrid(-b - 1.0, b + 1.0, GRID_POINTS, GRID_ETA)
 
 
 def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
@@ -228,7 +237,7 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
 
     Density Im m(x + i eta)/pi; the optional two-point Richardson step
     (eta, eta/2) removes the leading O(eta) smoothing bias.  The grid must
-    capture at least 99% of the mass before renormalization.
+    capture at least MIN_CAPTURED_MASS of the mass before renormalization.
     """
     if grid is None:
         grid = default_grid(W)
@@ -248,9 +257,9 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
         rho, _ = density(grid.eta)
     rho = np.clip(rho, 0.0, None)
     mass = float(_trapezoid_weights(x) @ rho)
-    if mass < 0.99:
+    if mass < MIN_CAPTURED_MASS:
         raise GridTooNarrow(
-            f"grid captured mass {mass:.4f} < 0.99; widen the grid"
+            f"grid captured mass {mass:.4f} < {MIN_CAPTURED_MASS}; widen the grid"
         )
     return ProbMeasure1D.from_grid(x, rho)
 
@@ -266,36 +275,35 @@ def semicircle_cdf(x) -> np.ndarray:
     return 0.5 + xc * np.sqrt(4.0 - xc ** 2) / (4.0 * np.pi) + np.arcsin(xc / 2.0) / np.pi
 
 
-def semicircle_reference(grid: SpectralGrid | None = None) -> ProbMeasure1D:
-    """Semicircle law sampled on the grid, CDF in closed form."""
-    if grid is None:
-        grid = SpectralGrid(-2.2, 2.2, 2000, 1e-3)
-    x = grid.x
+def semicircle_reference() -> ProbMeasure1D:
+    """Semicircle law sampled on SEMICIRCLE_GRID, CDF in closed form."""
+    x = SEMICIRCLE_GRID.x
     return ProbMeasure1D.from_grid_cdf(x, semicircle_density(x), semicircle_cdf(x))
 
 
-def stability_check(W: StepKernel, d, z, kappa: float = STABILITY_KAPPA,
-                    tol: float = RESIDUAL_TOL) -> CheckReport:
+def stability_check(W: StepKernel, d, z) -> CheckReport:
     """Perturbation bound far from the real axis.
 
     Solves the perturbed equation -1/m~ = z + Sm~ + d and asserts
-    ||m - m~||_L2 <= kappa (||S||_inf v 1) ||d||_L2 for admissible z.
+    ||m - m~||_L2 <= kappa (||S||_inf v 1) ||d||_L2 with kappa =
+    STABILITY_KAPPA, for Im z >= max(kappa (||S||_inf v 1)^2, |Re z|).
     """
     z = complex(z)
     d = np.asarray(d, dtype=complex)
     S = _coupling_matrix(W)
     snorm = float(np.abs(S).sum(axis=1).max())
-    threshold = max(kappa * max(snorm, 1.0) ** 2, abs(z.real))
+    threshold = max(STABILITY_KAPPA * max(snorm, 1.0) ** 2, abs(z.real))
     if z.imag < threshold:
         raise PreconditionViolated(
             f"Im z = {z.imag} below admissible threshold {threshold}"
         )
     # one call solves both equations, so with d = 0 they take the same path
-    m, mt = solve_qve(W, [z, z], tol=tol, shift=[np.zeros_like(d), d]).m_values
+    m, mt = solve_qve(W, [z, z], shift=[np.zeros_like(d), d]).m_values
 
     lam = W.partition.part_measures
     lhs = float(np.sqrt(np.sum(lam * np.abs(m - mt) ** 2)))
-    rhs = float(kappa * max(snorm, 1.0) * np.sqrt(np.sum(lam * np.abs(d) ** 2)))
+    rhs = float(STABILITY_KAPPA * max(snorm, 1.0)
+                * np.sqrt(np.sum(lam * np.abs(d) ** 2)))
     return CheckReport(lhs, rhs, lhs <= rhs, {"z": z, "snorm": snorm})
 
 

@@ -26,6 +26,8 @@ from .errors import (
 from .kernels import StepKernel
 
 _TOL = 1e-12
+K_ALPHA_PSI_TOL = 1e-10     # |psi(u) - alpha/eps| that ends the k_alpha search
+CHAOS_TOL = 1e-10           # bracket width that ends the chaos_exponent search
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,12 @@ class EntryLaw:
 
     @classmethod
     def from_json(cls, text: str) -> "EntryLaw":
+        """Law from {"support": [...], "probs": [...]}; ValueError naming the
+        first missing key."""
         data = json.loads(text)
+        for key in ("support", "probs"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"law JSON has no {key!r} key")
         return cls(data["support"], data["probs"])
 
 
@@ -208,9 +215,9 @@ def er_rate_h(u: float) -> float:
     return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
 
 
-def k_alpha(pair: LegendrePair, alpha: float, eps: float,
-            psi_tol: float = 1e-10) -> float:
-    """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps.
+def k_alpha(pair: LegendrePair, alpha: float, eps: float) -> float:
+    """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps,
+    to within K_ALPHA_PSI_TOL in psi.
 
     psi(u) = h_L(u)/u is an increasing homeomorphism of [1, inf) onto
     [0, inf), so bisection on psi always succeeds while the root is a float;
@@ -236,7 +243,7 @@ def k_alpha(pair: LegendrePair, alpha: float, eps: float,
     for _ in range(500):
         mid = math.sqrt(lo) * math.sqrt(hi)
         val = psi(mid)
-        if abs(val - target) <= psi_tol:
+        if abs(val - target) <= K_ALPHA_PSI_TOL:
             return mid
         if val < target:
             lo = mid
@@ -270,10 +277,11 @@ def dependent_bennett_bound(lam: float, a: float, t: float) -> BennettBound:
     return BennettBound(strong, min(weak, 1.0) if t <= 3.0 * lam else weak)
 
 
-def chaos_exponent(x: float, tol: float = 1e-10) -> float:
+def chaos_exponent(x: float) -> float:
     """h~(x) = sup_{theta >= 0} {theta x - (exp(theta^2) - 1)}.
 
-    The objective is unimodal in theta; maximized by golden-section search.
+    The objective is unimodal in theta; maximized by golden-section search
+    down to a bracket of width CHAOS_TOL.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
@@ -294,7 +302,7 @@ def chaos_exponent(x: float, tol: float = 1e-10) -> float:
     a, b = 0.0, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = obj(c), obj(d)
-    while b - a > tol:
+    while b - a > CHAOS_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -332,17 +340,17 @@ class RateSearchResult:
     attained_distance: float
 
 
-def rate_upper_bound(pair: LegendrePair, target, family, tol: float,
-                     grid=None) -> RateSearchResult:
-    """Search a finite kernel family for the cheapest one whose QVE measure
-    lands within tol of the target (an upper bound on the rate, never claimed
-    as the infimum)."""
+def rate_upper_bound(pair: LegendrePair, target, family,
+                     tol: float) -> RateSearchResult:
+    """Search a finite kernel family for the cheapest one whose QVE measure,
+    inverted on its default grid, lands within tol of the target (an upper
+    bound on the rate, never claimed as the infimum)."""
     from . import qve
     from .measures import metric_d
 
     best = None
     for W in family:
-        mu = qve.qve_measure(W, grid)
+        mu = qve.qve_measure(W)
         dist = metric_d(mu, target)
         if dist > tol:
             continue

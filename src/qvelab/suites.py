@@ -19,6 +19,10 @@ import numpy as np
 from . import ensembles, kernels, measures, qve, rates, trees
 from .report import CheckReport
 
+KERNEL_VALUES = (0.0, 4.0)      # range of the random kernels' values
+MEASURE_ATOMS = 6               # atoms of each random atom measure
+RANK_KS_N = 60                  # matrix size of the rank_ks suite
+
 
 @dataclass
 class SuiteResult:
@@ -45,15 +49,15 @@ def _run(name, seed, trials, trial) -> SuiteResult:
     return SuiteResult(name, trials, len(details), details)
 
 
-def _random_kernel(rng, k, lo=0.0, hi=4.0, equal=True) -> kernels.StepKernel:
-    vals = rng.uniform(lo, hi, size=(k, k))
+def _random_kernel(rng, k) -> kernels.StepKernel:
+    vals = rng.uniform(*KERNEL_VALUES, size=(k, k))
     vals = 0.5 * (vals + vals.T)
     return kernels.StepKernel(kernels.Partition.equal(k), vals)
 
 
-def _random_atom_measure(rng, n_atoms=6) -> measures.ProbMeasure1D:
-    x = rng.uniform(-3, 3, size=n_atoms)
-    w = rng.uniform(0.1, 1.0, size=n_atoms)
+def _random_atom_measure(rng) -> measures.ProbMeasure1D:
+    x = rng.uniform(-3, 3, size=MEASURE_ATOMS)
+    w = rng.uniform(0.1, 1.0, size=MEASURE_ATOMS)
     return measures.ProbMeasure1D.from_atoms(x, w / w.sum())
 
 
@@ -154,8 +158,10 @@ def metric_inequality_suite(seed=0, trials=500) -> SuiteResult:
     return _run("metric_inequality", seed, trials, trial)
 
 
-def rank_ks_suite(seed=0, trials=200, n=60) -> SuiteResult:
-    """KS shift from zeroing r rows/columns is at most 2r/n."""
+def rank_ks_suite(seed=0, trials=200) -> SuiteResult:
+    """KS shift from zeroing r rows/columns is at most 2r/n, n = RANK_KS_N."""
+    n = RANK_KS_N
+
     def trial(rng):
         M = rng.standard_normal((n, n))
         M = (M + M.T) / np.sqrt(2 * n)

@@ -28,6 +28,8 @@ from .kernels import StepKernel, cut_norm, degree_function
 from .report import CheckReport
 
 MAX_EDGES = 10
+# rounding slack of counting_lemma_check; a constant so no call can loosen it
+COUNTING_SLACK = 1e-12
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -205,9 +207,8 @@ def _max_sup_degree(kernels) -> float:
     return max(float(degree_function(kk).max()) for kk in kernels)
 
 
-def counting_lemma_check(tree: RootedPlanarTree, w, w_prime,
-                         slack: float = 1e-12) -> CheckReport:
-    """Counting bound for decorated trees:
+def counting_lemma_check(tree: RootedPlanarTree, w, w_prime) -> CheckReport:
+    """Counting bound for decorated trees, up to COUNTING_SLACK:
     |t(F,w) - t(F,w')| <= M^(e-1) * sum_e ||W_e - W'_e||_box."""
     kernels = _edge_kernels(tree, w)
     kernels_p = _edge_kernels(tree, w_prime)
@@ -216,11 +217,11 @@ def counting_lemma_check(tree: RootedPlanarTree, w, w_prime,
     lhs = abs(hom_density(tree, kernels or w) - hom_density(tree, kernels_p or w_prime))
     e = tree.n_edges
     if e == 0:
-        return CheckReport(lhs, 0.0, lhs <= slack, {"edges": 0})
+        return CheckReport(lhs, 0.0, lhs <= COUNTING_SLACK, {"edges": 0})
     M = max(_max_sup_degree(kernels), _max_sup_degree(kernels_p))
     total = sum(cut_norm(a.sub(b)).value for a, b in zip(kernels, kernels_p))
     rhs = (M ** (e - 1) if e > 1 else 1.0) * total
-    return CheckReport(lhs, rhs, lhs <= rhs + slack, {"M": M, "edges": e})
+    return CheckReport(lhs, rhs, lhs <= rhs + COUNTING_SLACK, {"M": M, "edges": e})
 
 
 def degree_bound_check(tree: RootedPlanarTree, w, part: int = 0) -> CheckReport:

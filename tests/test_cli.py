@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import qvelab
-from qvelab import cli, ensembles, kernels
+from qvelab import cli, ensembles, kernels, measures, qve
 from qvelab.kernels import Partition, StepKernel
 
 SRC = str(Path(qvelab.__file__).resolve().parents[1])
@@ -161,6 +161,38 @@ class TestExitCodes:
         assert len(lines) == 1
         return code, json.loads(lines[0])
 
+    @pytest.mark.parametrize("argv, text, key", [
+        (["moments", "--kernel"], "{}", "boundaries"),
+        (["k-alpha", "--alpha", "2", "--eps", "0.3", "--law"],
+         '{"support": [-1, 1]}', "probs"),
+    ])
+    def test_json_without_a_key_exits_2(self, tmp_path, argv, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        proc = run_python(["-m", "qvelab.cli", *argv, str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        line = json.loads(lines[0])
+        assert line["error"] == "ValueError" and repr(key) in line["message"]
+
+    def test_measure_row_with_wrong_field_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "atoms.csv"
+        path.write_text("x,weight\n0.25,1.0\n0.5\n")
+        code, out, err = run(["compare", "--a", str(path), "--b", "semicircle"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == "ValueError"
+
+    def test_tilt_empty_size_exits_2(self, const1_kernel, tmp_path, capsys):
+        code, out, err = run(["tilt", "--kernel", const1_kernel, "--n", "0",
+                              "--p", "0.2", "--out", str(tmp_path / "x.csv")],
+                             capsys)
+        assert code == 2
+        assert json.loads(err.strip())["message"] == "n must be >= 1"
+
     def test_sample_larger_than_n_exits_2(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         assert run(["sample", "--n", "50", "--p", "0.2", "--seed", "1",
@@ -179,6 +211,21 @@ class TestExitCodes:
         path.write_text("i,j,value\n2,2,0.5\n")
         code, line = self._spectrum_of_csv(path, 5, capsys)
         assert code == 2 and line["error"] == "ValueError"
+
+    def test_repeated_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("i,j,value\n0,1,0.5\n0,1,0.25\n")
+        code, line = self._spectrum_of_csv(path, 2, capsys)
+        assert code == 2 and line["error"] == "ValueError"
+        assert "repeats the entry (0, 1)" in line["message"]
+
+    def test_non_finite_entry_exits_2_by_name(self, tmp_path, capsys):
+        # named as a non-finite value, not as an asymmetric matrix
+        path = tmp_path / "x.csv"
+        path.write_text("i,j,value\n0,1,nan\n")
+        code, line = self._spectrum_of_csv(path, 2, capsys)
+        assert code == 2 and line["error"] == "ValueError"
+        assert "not finite" in line["message"]
 
     @pytest.mark.parametrize("bounds", [["--u-min", "1", "--u-max", "inf"],
                                         ["--u-min", "nan", "--u-max", "5"]])
@@ -354,6 +401,27 @@ class TestDeterminism:
         first = once()
         assert first[:2] == [b"i,j,value\n", b"eigenvalue\n0.0\n"]
         assert once() == first
+
+    def test_qve_measure_no_richardson(self, tmp_path, capsys):
+        # without the Richardson step the density is the clipped, renormalised
+        # Im m(x + i eta)/pi of one solve on the grid
+        W = StepKernel(Partition.equal(2), [[1.0, 0.5], [0.5, 2.0]])
+        kpath = tmp_path / "W.json"
+        kernels.save_kernel(W, kpath)
+        plain, rich = tmp_path / "plain.csv", tmp_path / "rich.csv"
+        base = ["qve-measure", "--kernel", str(kpath), "--grid=-4:4:500:0.01"]
+        argv = [*base, "--no-richardson", "--out", str(plain)]
+        first = self._bytes_of(argv, plain, capsys)
+        assert self._bytes_of(argv, plain, capsys) == first
+        assert self._bytes_of([*base, "--out", str(rich)], rich, capsys) != first
+
+        x = np.linspace(-4.0, 4.0, 500)
+        m = qve.solve_qve(W, x + 0.01j).m_values
+        rho = np.clip((m @ W.partition.part_measures).imag / np.pi, 0.0, None)
+        rho /= trapezoid(rho, x)
+        mu = measures.load_measure_csv(plain)
+        assert np.array_equal(mu.x, x)
+        assert np.abs(mu.density - rho).max() <= 1e-12
 
     def test_qve_measure_rerun_identical(self, tmp_path, const1_kernel, capsys):
         out = tmp_path / "m.csv"

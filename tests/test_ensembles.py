@@ -248,6 +248,13 @@ class TestTiltedSample:
         with pytest.raises(KernelNotPositive):
             ensembles.tilted_sample(10, 0.2, RADEMACHER, U, 0)
 
+    def test_empty_size_rejected_like_plain_sampling(self):
+        with pytest.raises(ValueError) as plain:
+            ensembles.sample_sparse_wigner(0, 0.2, RADEMACHER, 0)
+        with pytest.raises(ValueError) as tilted:
+            ensembles.tilted_sample(0, 0.2, RADEMACHER, StepKernel.constant(2.0), 0)
+        assert str(tilted.value) == str(plain.value) == "n must be >= 1"
+
 
 class TestResolvent:
     def test_zero_matrix(self):
@@ -350,6 +357,21 @@ class TestCsvIo:
         path.write_text(f"i,j,value\n0,1,0.25\n{line}\n")
         with pytest.raises(ValueError):
             ensembles.load_sample_csv(path, 9)
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        # save_sample_csv writes each pair once; a repeat must not silently
+        # overwrite the earlier value
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,value\n0,1,0.5\n2,3,0.1\n0,1,0.25\n")
+        with pytest.raises(ValueError, match=r"repeats the entry \(0, 1\)"):
+            ensembles.load_sample_csv(path, 4)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"i,j,value\n0,1,0.5\n1,2,{value}\n")
+        with pytest.raises(ValueError, match=r"at \(1, 2\) is not finite"):
+            ensembles.load_sample_csv(path, 4)
 
     def test_eigenvalue_export(self, tmp_path):
         e = ensembles.esm(np.diag([1.0, 2.0]))

@@ -276,6 +276,33 @@ class TestInterlacingCheck:
 
 
 class TestCsvRoundTrip:
+    def test_eigenvalues(self, tmp_path):
+        from qvelab import ensembles
+
+        path = tmp_path / "eig.csv"
+        ensembles.save_eigenvalues_csv(
+            ensembles.esm(np.diag([0.5, -1.0, 2.0])), path)
+        back = measures.load_measure_csv(path)
+        assert back.kind == "atoms"
+        assert np.array_equal(back.x, [-1.0, 0.5, 2.0])
+        assert np.array_equal(back.w, np.full(3, 1.0 / 3.0))
+
+    @pytest.mark.parametrize("text", ["eigenvalue\n0.5\n1.0,2.0\n",
+                                      "x,weight\n0.25,0.5\n0.5\n",
+                                      "x,density,cdf\n0.0,1.0,0.5,7\n"])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            measures.load_measure_csv(path)
+
+    @pytest.mark.parametrize("text", ["eigenvalue\n", "x,weight\n",
+                                      "value\n0.5\n"])
+    def test_empty_or_unknown_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            measures.load_measure_csv(path)
     def test_atoms(self, tmp_path):
         rng = np.random.default_rng(12)
         mu = random_atoms(rng)

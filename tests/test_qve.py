@@ -80,9 +80,10 @@ class TestSolveQve:
         with pytest.raises(ValueError):
             qve.solve_qve(StepKernel.constant(1.0), [1.0 - 1j])
 
-    def test_not_converged_lists_points(self):
+    def test_not_converged_lists_points(self, monkeypatch):
+        monkeypatch.setattr(qve, "MAX_ITER", 0)
         with pytest.raises(NotConverged) as exc:
-            qve.solve_qve(StepKernel.constant(1.0), [2j, 1 + 1j], max_iter=0)
+            qve.solve_qve(StepKernel.constant(1.0), [2j, 1 + 1j])
         assert exc.value.points == [2j, 1 + 1j]
         assert exc.value.exit_code == 1
 
