@@ -260,10 +260,16 @@ class CutNorm:
     t: np.ndarray
 
 
+@functools.cache
 def _indicator_table(k: int) -> np.ndarray:
-    """All 2^k 0/1 vectors of length k, row-ordered by bitmask."""
+    """All 2^k 0/1 vectors of length k, row-ordered by bitmask.
+
+    Cached per k and read-only, since every caller shares the one array.
+    """
     masks = np.arange(1 << k, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(k)) & 1).astype(float)
+    table = ((masks[:, None] >> np.arange(k)) & 1).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def _weighted_values(W: StepKernel) -> np.ndarray:
@@ -284,7 +290,7 @@ def _cut_norm_exact(M: np.ndarray):
     pos = np.clip(R, 0.0, None).sum(axis=1)
     neg = np.clip(-R, 0.0, None).sum(axis=1)
     best = np.argmax(np.maximum(pos, neg))
-    s = S[best]
+    s = S[best].copy()
     r = s @ M
     if pos[best] >= neg[best]:
         t = (r > 0).astype(float)

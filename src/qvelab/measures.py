@@ -57,6 +57,8 @@ class ProbMeasure1D:
     @classmethod
     def from_atoms(cls, values, weights=None) -> "ProbMeasure1D":
         v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            raise ValueError("no atoms")
         if weights is None:
             w = np.full(v.size, 1.0 / v.size)
         else:

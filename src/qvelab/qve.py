@@ -13,6 +13,14 @@ the Herglotz branch, and a Newton step is only taken while it lowers the
 residual and keeps Im m > 0.  A level that a point misses is retried from
 the level above with a finer factor.  Accepted solutions always satisfy the
 residual and Herglotz contracts; failures raise per-point, never silently.
+
+Stieltjes inversion (``qve_measure``) solves a whole grid x + i eta.  At fixed
+eta > 0, m is smooth in x by the same stability, so the grid is solved coarse
+to fine: every COARSE_STRIDE-th point (and the last) walks the continuation,
+the values are interpolated linearly in x, and Newton at the target starts
+from that interpolation.  A convex combination of points with Im m > 0 keeps
+Im m > 0; points where Newton misses from it, where m changes faster than the
+coarse spacing resolves, fall back to the continuation inside ``solve_qve``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ MAX_ITER = 100                  # Newton steps per point and continuation level
 CONTINUATION_FACTOR = 16.0      # Im z ratio between continuation levels
 MIN_FACTOR = 1.05               # smallest ratio a failing level is retried at
 NEWTON_BLOCK = 1000             # points per batched Newton solve
+COARSE_STRIDE = 8               # grid stride of the coarse inversion solve
 LEVEL_TOL = 1e-2                # residual that ends a level above the target
 STABILITY_KAPPA = 128.0         # constant of the perturbation bound
 MIN_CAPTURED_MASS = 0.99        # grid mass an inversion must capture
@@ -236,30 +245,48 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
     """QVE measure by Stieltjes inversion on the grid.
 
     Density Im m(x + i eta)/pi; the optional two-point Richardson step
-    (eta, eta/2) removes the leading O(eta) smoothing bias.  The grid must
-    capture at least MIN_CAPTURED_MASS of the mass before renormalization.
+    (eta, eta/2) removes the leading O(eta) smoothing bias.  The eta solve
+    starts coarse to fine: every COARSE_STRIDE-th grid point and the last
+    are solved by continuation, and Newton on the full grid starts from their
+    linear interpolation in x; the eta/2 solve starts from the eta solution.
+    The grid must capture at least MIN_CAPTURED_MASS of the mass before
+    renormalization.
     """
     if grid is None:
         grid = default_grid(W)
     x = grid.x
     mu = W.partition.part_measures
 
-    def density(eta, m0=None):
+    def density(eta, m0):
         sol = solve_qve(W, x + 1j * eta, m0=m0)
         return (sol.m_values @ mu).imag / np.pi, sol.m_values
 
+    coarse = np.unique(np.append(np.arange(0, x.size, COARSE_STRIDE), x.size - 1))
+    mc = solve_qve(W, x[coarse] + 1j * grid.eta).m_values
+    # linear interpolation of values with Im m > 0 keeps Im m > 0, as m0 needs
+    m0 = np.stack([np.interp(x, x[coarse], mc[:, i].real)
+                   + 1j * np.interp(x, x[coarse], mc[:, i].imag)
+                   for i in range(W.k)], axis=1)
+    rho, m_eta = density(grid.eta, m0)
     if richardson:
-        rho_eta, m_eta = density(grid.eta)
-        # warm-start the harder eta/2 solve from the eta solution
-        rho_half, _ = density(grid.eta / 2.0, m0=m_eta)
-        rho = 2.0 * rho_half - rho_eta
-    else:
-        rho, _ = density(grid.eta)
+        rho_half, _ = density(grid.eta / 2.0, m_eta)
+        rho = 2.0 * rho_half - rho
     rho = np.clip(rho, 0.0, None)
     mass = float(_trapezoid_weights(x) @ rho)
     if mass < MIN_CAPTURED_MASS:
+        # a spike of width eta (an atom) needs a spacing below eta, which no
+        # widening replaces; mass past the support bound needs a wider grid
+        spacing = (grid.x_max - grid.x_min) / (grid.n_points - 1)
+        b = support_bound(W)
+        remedies = []
+        if spacing > grid.eta:
+            remedies.append("refine the grid to a spacing <= eta")
+        if grid.x_min > -b or grid.x_max < b:
+            remedies.append(f"widen the grid past +-{b:.3g}")
         raise GridTooNarrow(
-            f"grid captured mass {mass:.4f} < {MIN_CAPTURED_MASS}; widen the grid"
+            f"grid captured mass {mass:.4f} < {MIN_CAPTURED_MASS} "
+            f"(grid spacing {spacing:.3g}, eta {grid.eta:.3g}); "
+            + (" and ".join(remedies) or "widen the grid")
         )
     return ProbMeasure1D.from_grid(x, rho)
 

@@ -188,6 +188,15 @@ class TestCutNorm:
         W = StepKernel.constant(0.0, 3)
         assert kernels.cut_norm(W).value == 0.0
 
+    def test_indicator_table_shared_read_only(self):
+        table = kernels._indicator_table(3)
+        assert kernels._indicator_table(3) is table
+        assert not table.flags.writeable
+        # the returned indicator is the caller's own copy
+        res = kernels.cut_norm(StepKernel.constant(1.0, 3))
+        res.s[0] = 0.0
+        assert kernels.cut_norm(StepKernel.constant(1.0, 3)).s[0] == 1.0
+
     def test_signed_difference_example(self):
         # [DERIVED] exhaustive enumeration over the 16 part-indicator pairs
         W = StepKernel(Partition.equal(2), [[0.5, -0.5], [-0.5, 0.5]],

@@ -56,6 +56,10 @@ class TestProbMeasure1D:
         with pytest.raises(ValueError):
             ProbMeasure1D.from_atoms([0.0, 1.0], [-0.1, 1.1])
 
+    def test_no_atoms(self):
+        with pytest.raises(ValueError, match="no atoms"):
+            ProbMeasure1D.from_atoms([])
+
     def test_grid_cdf_monotone(self):
         x = np.linspace(-2, 2, 500)
         mu = ProbMeasure1D.from_grid(x, np.exp(-x ** 2))

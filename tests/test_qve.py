@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
 from qvelab import kernels, qve
@@ -36,6 +39,61 @@ def damped_oracle(S, z, tol=1e-12, max_iter=200_000):
             break
         m = 0.5 * m + 0.5 * f
     return m
+
+
+def reference_density(W, grid):
+    """Richardson density of qve_measure without the coarse-to-fine start:
+    the eta solve walks the continuation at every grid point, and the eta/2
+    solve starts from it.
+
+    Returns the renormalized density and the mass captured before it."""
+    x = grid.x
+    sol_eta = qve.solve_qve(W, x + 1j * grid.eta)
+    sol_half = qve.solve_qve(W, x + 0.5j * grid.eta, m0=sol_eta.m_values)
+    rho_eta, rho_half = (sol.average().imag / np.pi for sol in (sol_eta, sol_half))
+    rho = np.clip(2.0 * rho_half - rho_eta, 0.0, None)
+    mass = trapezoid(rho, x)
+    return rho / mass, mass
+
+
+@st.composite
+def inversion_cases(draw):
+    """A kernel with k <= 8, some rows possibly zero, and a grid around its
+    support whose spacing is eta times 1/2, 1 or 2."""
+    k = draw(st.integers(1, 8))
+    vals = draw(arrays(float, (k, k), elements=st.floats(0.0, 4.0)))
+    vals = 0.5 * (vals + vals.T)
+    zero = draw(arrays(bool, k))
+    vals[zero, :] = 0.0
+    vals[:, zero] = 0.0
+    eta = draw(st.sampled_from([1e-3, 1e-2]))
+    spacing = eta * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return vals, eta, spacing
+
+
+def grid_around(W, eta, spacing):
+    b = qve.support_bound(W)
+    n = int(np.ceil(2.0 * (b + 1.0) / spacing)) + 1
+    return qve.SpectralGrid(-b - 1.0, b + 1.0, n, eta)
+
+
+# a kernel of small entries on a grid coarser than eta: Newton misses from
+# the interpolated start at some points, which fall back to the continuation
+FALLBACK_CASE = (np.array([[5.2e-5, 1.905e-5], [1.905e-5, 1.04e-6]]), 1e-3, 4e-3)
+
+
+@pytest.fixture
+def continuation_sizes(monkeypatch):
+    """Number of points of each _continuation call, in call order."""
+    sizes = []
+    continuation = qve._continuation
+
+    def counting(z, shift, S):
+        sizes.append(z.size)
+        return continuation(z, shift, S)
+
+    monkeypatch.setattr(qve, "_continuation", counting)
+    return sizes
 
 
 class TestSolveQve:
@@ -192,6 +250,65 @@ class TestQveMeasure:
         grid = qve.SpectralGrid(-0.5, 0.5, 200, 1e-3)
         with pytest.raises(GridTooNarrow):
             qve.qve_measure(StepKernel.constant(1.0), grid)
+
+    def test_grid_too_narrow_names_refinement(self):
+        # the zero row puts an atom at 0, a spike of width eta that a grid
+        # coarser than eta undersamples however wide it is
+        W = StepKernel(Partition.equal(2), [[0.0, 0.0], [0.0, 4.0]])
+        grid = qve.default_grid(W)
+        with pytest.raises(GridTooNarrow, match=r"spacing 0\.00191, eta 0\.001\); refine"):
+            qve.qve_measure(W, grid)
+        wide = qve.SpectralGrid(3 * grid.x_min, 3 * grid.x_max, grid.n_points, grid.eta)
+        with pytest.raises(GridTooNarrow, match="refine"):
+            qve.qve_measure(W, wide)
+        fine = qve.SpectralGrid(grid.x_min, grid.x_max, 10 * grid.n_points, grid.eta)
+        assert qve.qve_measure(W, fine).density.max() > 0
+
+    def test_grid_too_narrow_names_widening(self):
+        W = StepKernel.constant(1.0)
+        with pytest.raises(GridTooNarrow, match=r"eta 0\.001\); widen the grid past \+-2$"):
+            qve.qve_measure(W, qve.SpectralGrid(-0.5, 0.5, 2000, 1e-3))
+        with pytest.raises(GridTooNarrow, match=r"refine the grid to a spacing <= eta and widen"):
+            qve.qve_measure(W, qve.SpectralGrid(-0.5, 0.5, 200, 1e-3))
+        # a large eta smears mass past the support bound itself
+        with pytest.raises(GridTooNarrow, match=r"eta 0\.5\); widen the grid$"):
+            qve.qve_measure(W, qve.SpectralGrid(-2.0, 2.0, 4001, 0.5))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=inversion_cases())
+    @example(case=(np.zeros((1, 1)), 1e-3, 5e-4))
+    @example(case=(np.array([[0.0, 0.0], [0.0, 4.0]]), 1e-3, 5e-4))
+    @example(case=FALLBACK_CASE)
+    def test_matches_full_grid_continuation(self, case):
+        # the coarse-to-fine start changes where Newton starts, not what it
+        # converges to: the density matches solves without m0.  Both meet the
+        # residual contract, so the masses differ in the last digits, and the
+        # renormalization scales that by the density: the bound is relative
+        # to the peak, which an atom at 0 makes about 1/(pi eta)
+        vals, eta, spacing = case
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        grid = grid_around(W, eta, spacing)
+        want, mass = reference_density(W, grid)
+        if mass < qve.MIN_CAPTURED_MASS:
+            with pytest.raises(GridTooNarrow):
+                qve.qve_measure(W, grid)
+        else:
+            got = qve.qve_measure(W, grid).density
+            assert np.abs(got - want).max() <= 1e-11 * max(1.0, want.max())
+
+    def test_interpolated_start_is_used(self, continuation_sizes):
+        # only the coarse points walk the continuation on a smooth density
+        qve.qve_measure(StepKernel.constant(1.0), qve.SpectralGrid(-3.0, 3.0, 4000, 1e-3))
+        assert 0 < sum(continuation_sizes) < 4000
+
+    def test_continuation_fallback_fires(self, continuation_sizes):
+        vals, eta, spacing = FALLBACK_CASE
+        W = StepKernel(Partition.equal(2), vals)
+        grid = grid_around(W, eta, spacing)
+        qve.qve_measure(W, grid)
+        n_coarse = len({*range(0, grid.n_points, qve.COARSE_STRIDE), grid.n_points - 1})
+        assert continuation_sizes[0] == n_coarse
+        assert sum(continuation_sizes) > n_coarse
 
     def test_moment_consistency_with_trees(self):
         # cross-module invariant: grid moments match the tree formula
