@@ -109,11 +109,11 @@ def cmd_moments(args):
 
 
 def cmd_rate(args):
-    pair = rates.LegendrePair(_load_law(args.law))
+    law = _load_law(args.law)
     if not (math.isfinite(args.u_min) and math.isfinite(args.u_max)):
         raise DomainError("--u-min and --u-max must be finite")
     us = np.linspace(args.u_min, args.u_max, args.num)
-    rows = rates.rate_table(pair, us)
+    rows = rates.rate_table(law, us)
     text = "u,h_L\n" + "".join(f"{u!r},{h!r}\n" for u, h in rows)
     _write(args.out, text)
     _summary("rate", num=args.num)
@@ -121,8 +121,7 @@ def cmd_rate(args):
 
 
 def cmd_k_alpha(args):
-    pair = rates.LegendrePair(_load_law(args.law))
-    u = rates.k_alpha(pair, args.alpha, args.eps)
+    u = rates.k_alpha(_load_law(args.law), args.alpha, args.eps)
     _write(args.out, json.dumps({"k_alpha": u}))
     _summary("k-alpha", value=u)
     return 0
@@ -152,8 +151,7 @@ def cmd_spectrum(args):
     else:
         law = _load_law(args.law)
         M = ensembles.sample_sparse_wigner(args.n, args.p, law, args.seed)
-    e = ensembles.esm(M)
-    ensembles.save_eigenvalues_csv(e, args.out)
+    ensembles.save_eigenvalues_csv(ensembles.esm(M), args.out)
     _summary("spectrum", n=args.n)
     return 0
 

@@ -17,13 +17,14 @@ import numpy as np
 from .errors import (
     AsymmetricInput,
     DivisibilityError,
+    DomainError,
     EigFailure,
-    KernelNotPositive,
+    PartMeasureMismatch,
     SolveFailure,
 )
 from .kernels import StepKernel, kernel_from_graph
 from .measures import ProbMeasure1D
-from .rates import EntryLaw, LegendrePair, cgf_L, h_L_prime
+from .rates import EntryLaw, cgf_L, h_L_prime
 
 # splitmix64 constants
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -64,10 +65,6 @@ class SparseWignerSample:
     def entries(self) -> np.ndarray:  # X, symmetric, zero diagonal
         scale = np.sqrt(self.n * self.p)
         return _dense(self.n, self.rows, self.cols, self.values / scale)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
 
     @property
     def mask(self) -> np.ndarray:  # Xi, symmetric 0/1, zero diagonal
@@ -134,31 +131,21 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     if n % k != 0:
         raise DivisibilityError(f"block count {k} must divide n = {n}")
     if not U.partition.is_equal_measure():
-        raise DivisibilityError("tilting kernel must have equal part measures")
+        raise PartMeasureMismatch("tilting kernel must have equal part measures")
     if np.any(U.values <= 0):
-        raise KernelNotPositive("tilting kernel values must be strictly positive")
+        raise DomainError("tilting kernel values must be strictly positive")
 
-    pair = LegendrePair(law)
     v2 = law.support ** 2
     p_edge = np.empty((k, k))
     probs = np.empty((k, k, law.support.size))
     for a in range(k):
         for b in range(a, k):
-            theta = h_L_prime(pair, float(U.values[a, b]))
-            Z = 1.0 + p * cgf_L(pair, theta)
-            p_edge[a, b] = p_edge[b, a] = p * (cgf_L(pair, theta) + 1.0) / Z
+            theta = h_L_prime(law, float(U.values[a, b]))
+            Z = 1.0 + p * cgf_L(law, theta)
+            p_edge[a, b] = p_edge[b, a] = p * (cgf_L(law, theta) + 1.0) / Z
             cond = law.probs * np.exp(theta * v2)
             probs[a, b] = probs[b, a] = cond / cond.sum()
     return _draw(n, p, seed, law.support, np.arange(n) // (n // k), p_edge, probs)
-
-
-@dataclass
-class EmpiricalSpectralMeasure:
-    eigenvalues: np.ndarray
-
-    @property
-    def measure(self) -> ProbMeasure1D:
-        return ProbMeasure1D.from_atoms(self.eigenvalues)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -167,8 +154,9 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def esm(sample_or_matrix) -> EmpiricalSpectralMeasure:
-    """Empirical spectral measure of a symmetric matrix."""
+def esm(sample_or_matrix) -> ProbMeasure1D:
+    """Empirical spectral measure of a symmetric matrix: equal atoms at its
+    eigenvalues, in ascending order."""
     M = _as_matrix(sample_or_matrix)
     if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
         raise AsymmetricInput("esm requires a symmetric matrix")
@@ -176,7 +164,7 @@ def esm(sample_or_matrix) -> EmpiricalSpectralMeasure:
         ev = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    return EmpiricalSpectralMeasure(np.sort(ev))
+    return ProbMeasure1D.from_atoms(ev)
 
 
 def empirical_kernel(sample: SparseWignerSample) -> StepKernel:
@@ -231,9 +219,11 @@ def save_sample_csv(sample: SparseWignerSample, path):
 
 
 def load_sample_csv(path, n: int) -> np.ndarray:
-    """Dense X from a triplet CSV; ValueError unless each line is i,j,value
-    with integers 0 <= i < j < n, a finite value and a pair (i, j) no other
-    line repeats."""
+    """Dense X from a triplet CSV; ValueError unless n >= 1 and each line is
+    i,j,value with integers 0 <= i < j < n, a finite value and a pair (i, j)
+    no other line repeats."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     with warnings.catch_warnings():  # a header-only file is an empty sample
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         i, j, v = np.loadtxt(path, dtype="i8,i8,f8", delimiter=",", skiprows=1,
@@ -253,8 +243,9 @@ def load_sample_csv(path, n: int) -> np.ndarray:
     return _dense(n, i, j, v)
 
 
-def save_eigenvalues_csv(e: EmpiricalSpectralMeasure, path):
+def save_eigenvalues_csv(mu: ProbMeasure1D, path):
+    """The atoms of an empirical spectral measure, one per line."""
     with open(path, "w", newline="") as fh:
         fh.write("eigenvalue\n")
-        for v in e.eigenvalues:
+        for v in mu.x:
             fh.write(f"{float(v)!r}\n")

@@ -12,7 +12,7 @@ class QvelabError(Exception):
 
 
 class ExactTooLarge(QvelabError):
-    """Exact enumeration requested beyond the supported part count."""
+    """Exact enumeration beyond its supported part count or tree edge count."""
 
 
 class PartMeasureMismatch(QvelabError):
@@ -44,24 +44,12 @@ class PreconditionViolated(QvelabError):
     """Input outside the admissible region of the operation."""
 
 
-class KTooLarge(QvelabError):
-    """Tree enumeration requested beyond the supported edge count."""
-
-
 class PartitionMismatch(QvelabError):
     """Kernels were expected to share a partition."""
 
 
-class NegativeInput(QvelabError):
-    """Argument must be nonnegative."""
-
-
 class DomainError(QvelabError):
-    """Argument outside the function's domain."""
-
-
-class KernelNotPositive(QvelabError):
-    """Tilting kernel must have strictly positive values."""
+    """Argument outside the function's domain (a tilting kernel included)."""
 
 
 class DivisibilityError(QvelabError):

@@ -48,11 +48,12 @@ class Partition:
         if len(bs) == 0:
             raise ValueError("partition needs at least one boundary")
         vals = [float(b) for b in bs]
-        if any(b2 <= b1 for b1, b2 in zip(vals, vals[1:])):
+        # negated comparisons, so that a NaN boundary fails them
+        if not all(b2 > b1 for b1, b2 in zip(vals, vals[1:])):
             raise ValueError("boundaries must be strictly increasing")
         if not (vals[0] > 0):
             raise ValueError("boundaries must lie in (0,1]")
-        if abs(vals[-1] - 1.0) > _TOL:
+        if not abs(vals[-1] - 1.0) <= _TOL:
             raise ValueError("last boundary must equal 1")
         object.__setattr__(self, "boundaries", bs)
 
@@ -98,7 +99,8 @@ class Partition:
         return all(abs(x - y) <= _TOL for x, y in zip(a, b))
 
     def __hash__(self):
-        return hash(tuple(round(float(b), 12) for b in self.boundaries))
+        # __eq__ compares boundaries within a tolerance, and only k exactly
+        return hash(self.k)
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,8 @@ class StepKernel:
         )
 
     def __hash__(self):
-        return hash((self.partition, self.values.tobytes()))
+        # + 0.0 maps -0.0, which __eq__ equates with 0.0, to 0.0
+        return hash((self.partition, (self.values + 0.0).tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +588,20 @@ def kernel_to_json(W: StepKernel) -> str:
 
 def kernel_from_json(text: str) -> StepKernel:
     """Kernel from {"boundaries": [...], "values": [[...]]}; ValueError naming
-    the first missing key."""
+    the first missing key or the first value that is not finite."""
     data = json.loads(text)
     for key in ("boundaries", "values"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"kernel JSON has no {key!r} key")
     bounds = [Fraction(b) if isinstance(b, str) else float(b)
               for b in data["boundaries"]]
-    return StepKernel(Partition(bounds), np.array(data["values"]))
+    values = np.array(data["values"], dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise ValueError(f"kernel JSON value {float(values[at])!r} at {at} "
+                         "is not finite")
+    return StepKernel(Partition(bounds), values)
 
 
 def save_kernel(W: StepKernel, path):

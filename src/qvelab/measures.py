@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import PartitionMismatch, PreconditionViolated
 from .report import CheckReport
 
 # fixed evaluation grid for metric_d: lower bound of sup over {Im z >= 2}
@@ -26,9 +26,11 @@ _BLOCK_ENTRIES = 1 << 15
 # midpoint quantile levels of a Wasserstein distance involving a grid measure
 QUANTILE_GRID = 10_000
 # grid-inversion slacks of the appendix inequalities (W2 <= sqrt(L1) and
-# d <= 2|E|); they are constants so that no call can loosen a check
+# d <= 2|E|), and the rounding slack of d <= min(W1, KS); they are constants
+# so that no call can loosen a check
 HW_SLACK = 2e-3
 INTERLACING_SLACK = 1e-3
+METRIC_SLACK = 1e-9
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -127,19 +129,12 @@ class ProbMeasure1D:
             return float(np.sum(self.w * self.x ** order))
         return float(_trapezoid_weights(self.x) @ (self.density * self.x ** order))
 
-    def support_points(self) -> np.ndarray:
-        return self.x
-
     def stieltjes(self, z) -> complex:
         """m(z) = int dmu(x)/(x - z), Im z > 0."""
         z = complex(z)
         if z.imag <= 0:
             raise ValueError("stieltjes transform requires Im z > 0")
         return complex(_stieltjes_at(self, np.array([z]))[0])
-
-
-def stieltjes(mu: ProbMeasure1D, z) -> complex:
-    return mu.stieltjes(z)
 
 
 def _cumtrapz(y, x):
@@ -181,7 +176,7 @@ def metric_d(mu: ProbMeasure1D, nu: ProbMeasure1D) -> float:
 
 def ks_distance(mu: ProbMeasure1D, nu: ProbMeasure1D) -> float:
     """sup_t |F_mu(t) - F_nu(t)|, evaluated at merged breakpoints and jumps."""
-    pts = np.unique(np.concatenate([mu.support_points(), nu.support_points()]))
+    pts = np.unique(np.concatenate([mu.x, nu.x]))
     d_right = np.abs(mu.cdf(pts) - nu.cdf(pts))
     d_left = np.abs(mu.cdf_left(pts) - nu.cdf_left(pts))
     return float(max(d_right.max(), d_left.max()))
@@ -210,13 +205,13 @@ def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int = 1) -> float:
 
 
 def metric_inequality_check(mu: ProbMeasure1D, nu: ProbMeasure1D) -> CheckReport:
-    """d <= min(W1, KS) (valid since grid-d lower-bounds the sup metric)."""
+    """d <= min(W1, KS) up to METRIC_SLACK (valid since grid-d lower-bounds
+    the sup metric)."""
     d = metric_d(mu, nu)
     w1 = wasserstein(mu, nu, 1)
     ks = ks_distance(mu, nu)
     rhs = min(w1, ks)
-    return CheckReport(d, rhs, d <= rhs + 1e-9,
-                       {"w1": w1, "ks": ks})
+    return CheckReport(d, rhs, d <= rhs + METRIC_SLACK, {"w1": w1, "ks": ks})
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +239,7 @@ def interlacing_check(W, W_prime, E_measure: float, grid=None) -> CheckReport:
 
     a, b = W, W_prime
     if a.partition != b.partition:
-        raise PreconditionViolated("kernels must share a partition")
+        raise PartitionMismatch("kernels must share a partition")
     # smallest part set E covering the difference support: entry (i,j) may
     # differ only if i in E or j in E, so greedily cover rows of the defect
     diff = a.values != b.values
@@ -290,7 +285,8 @@ def load_measure_csv(path) -> ProbMeasure1D:
     """Measure from a CSV with the header ``eigenvalue`` (equal atoms, as
     ``save_eigenvalues_csv`` writes), ``x,weight`` (atoms) or
     ``x,density,cdf`` (a grid); ValueError for any other header, for a row
-    whose field count differs from the header's, or for a file with no rows."""
+    whose field count differs from the header's, for a value that is not
+    finite, or for a file with no rows."""
     with open(path) as fh:
         header = fh.readline().strip()
         width = _MEASURE_CSV_WIDTH.get(header)
@@ -304,6 +300,11 @@ def load_measure_csv(path) -> ProbMeasure1D:
     if data.shape[1] != width:
         raise ValueError(f"{path}: rows have {data.shape[1]} fields, header "
                          f"{header!r} has {width}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"{path}: measure CSV value {float(data[r, c])!r} in "
+                         f"data row {r + 1} is not finite")
     if width == 1:
         return ProbMeasure1D.from_atoms(data[:, 0])
     if width == 2:

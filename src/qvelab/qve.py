@@ -11,8 +11,9 @@ level above; the QVE solution is stable in z (Ajanki, Erdos and Krueger,
 Quadratic Vector Equations on Complex Upper Half-Plane), so the walk stays on
 the Herglotz branch, and a Newton step is only taken while it lowers the
 residual and keeps Im m > 0.  A level that a point misses is retried from
-the level above with a finer factor.  Accepted solutions always satisfy the
-residual and Herglotz contracts; failures raise per-point, never silently.
+the level above with a finer factor, and a point left unsolved walks once
+more with tighter levels.  Accepted solutions always satisfy the residual and
+Herglotz contracts; failures raise per-point, never silently.
 
 Stieltjes inversion (``qve_measure``) solves a whole grid x + i eta.  At fixed
 eta > 0, m is smooth in x by the same stability, so the grid is solved coarse
@@ -155,30 +156,42 @@ def _continuation(z, shift, S):
     level that misses its tolerance is retried from the level above with the
     square root of the factor; a point whose factor falls below MIN_FACTOR
     keeps an infinite residual.
+
+    Near the axis a level can accept an iterate off the branch (Re m of the
+    wrong sign) that every retry restarts from, so points left unsolved walk
+    once more from the top with level tolerances LEVEL_TOL * min(1, h).
     """
-    loose = max(RESIDUAL_TOL, LEVEL_TOL)
-
-    def level_tol(h, target):
-        return np.where(h == target, RESIDUAL_TOL, loose)
-
     top = max(4.0, 2.0 * np.sqrt(np.abs(S).sum(axis=1).max()))
-    height = np.maximum(z.imag, top)
-    zd = (z.real + 1j * height)[:, None] + shift
-    m, res = _newton(-1.0 / zd, zd, S, level_tol(height, z.imag))
-    factor = np.full(z.size, CONTINUATION_FACTOR)
-    while True:
-        idx = np.flatnonzero((height > z.imag) & (res <= loose)
-                             & (factor >= MIN_FACTOR))
-        if idx.size == 0:
+    m = np.empty((z.size, S.shape[0]), dtype=complex)
+    res = np.full(z.size, np.inf)
+    todo = np.arange(z.size)
+    for power in (0, 1):   # level tolerance LEVEL_TOL * min(1, h) ** power
+        zt, st = z[todo], shift[todo]
+
+        def level_tol(h, target):
+            loose = np.maximum(RESIDUAL_TOL, LEVEL_TOL * np.minimum(1.0, h) ** power)
+            return np.where(h == target, RESIDUAL_TOL, loose)
+
+        height = np.maximum(zt.imag, top)
+        zd = (zt.real + 1j * height)[:, None] + st
+        ltol = level_tol(height, zt.imag)
+        mt, rt = _newton(-1.0 / zd, zd, S, ltol)
+        factor = np.full(todo.size, CONTINUATION_FACTOR)
+        live = np.flatnonzero((height > zt.imag) & (rt <= ltol))
+        while live.size:
+            h = np.maximum(zt.imag[live], height[live] / factor[live])
+            zd = (zt[live].real + 1j * h)[:, None] + st[live]
+            ltol = level_tol(h, zt.imag[live])
+            mn, rn = _newton(mt[live], zd, S, ltol)
+            ok = rn <= ltol
+            mt[live[ok]], rt[live[ok]], height[live[ok]] = mn[ok], rn[ok], h[ok]
+            factor[live[~ok]] = np.sqrt(factor[live[~ok]])
+            live = live[(height[live] > zt.imag[live]) & (factor[live] >= MIN_FACTOR)]
+        rt[height > zt.imag] = np.inf
+        m[todo], res[todo] = mt, rt
+        todo = todo[~(rt <= RESIDUAL_TOL)]
+        if todo.size == 0:
             break
-        h = np.maximum(z.imag[idx], height[idx] / factor[idx])
-        zd = (z[idx].real + 1j * h)[:, None] + shift[idx]
-        ltol = level_tol(h, z.imag[idx])
-        mn, rn = _newton(m[idx], zd, S, ltol)
-        ok = rn <= ltol
-        m[idx[ok]], res[idx[ok]], height[idx[ok]] = mn[ok], rn[ok], h[ok]
-        factor[idx[~ok]] = np.sqrt(factor[idx[~ok]])
-    res[height > z.imag] = np.inf
     return m, res
 
 

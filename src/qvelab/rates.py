@@ -12,17 +12,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NegativeInput,
-    NoFeasibleKernel,
-    NotConverged,
-)
+from .errors import DomainError, NoFeasibleKernel, NotConverged
 from .kernels import StepKernel
 
 _TOL = 1e-12
@@ -42,6 +37,10 @@ class EntryLaw:
         p = np.asarray(probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("support and probs must be 1-D and match")
+        for name, a in (("support", v), ("probs", p)):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise ValueError(f"law {name} value {a[bad[0]]} is not finite")
         if np.any(p <= 0):
             raise ValueError("probabilities must be positive")
         if abs(p.sum() - 1.0) > _TOL:
@@ -71,6 +70,11 @@ class EntryLaw:
         """A^2 on the support (cached: every evaluation of L reads it)."""
         return self.support ** 2
 
+    @functools.cached_property
+    def _theta_memo(self) -> dict:
+        """h_L'(u) by u (cached: the searches revisit the same u)."""
+        return {}
+
     def to_json(self) -> str:
         return json.dumps({"support": self.support.tolist(),
                            "probs": self.probs.tolist()})
@@ -86,14 +90,6 @@ class EntryLaw:
         return cls(data["support"], data["probs"])
 
 
-@dataclass
-class LegendrePair:
-    """Entry law together with a memo table for inverting L'."""
-
-    law: EntryLaw
-    _theta_memo: dict = field(default_factory=dict, repr=False)
-
-
 # L and its derivatives overflow to inf for large theta.  That inf is the
 # right value (the searches below bracket on it), so numpy's overflow warnings
 # are silenced, once per public call rather than once per evaluation: an
@@ -102,15 +98,14 @@ class LegendrePair:
 
 
 @np.errstate(over="ignore")
-def cgf_L(pair: LegendrePair, theta: float) -> float:
+def cgf_L(law: EntryLaw, theta: float) -> float:
     """L(theta) = E exp(theta A^2) - 1, exact finite sum."""
-    law = pair.law
     return float(law.probs @ np.exp(theta * law._squares) - 1.0)
 
 
 @np.errstate(over="ignore")
-def cgf_L_prime(pair: LegendrePair, theta: float) -> float:
-    return _L_derivative(pair.law, theta, 1)
+def cgf_L_prime(law: EntryLaw, theta: float) -> float:
+    return _L_derivative(law, theta, 1)
 
 
 def _L_derivative(law: EntryLaw, theta: float, order: int) -> float:
@@ -121,7 +116,7 @@ def _L_derivative(law: EntryLaw, theta: float, order: int) -> float:
     return float(law.probs @ (weight * np.exp(theta * v2)))
 
 
-def h_L_prime(pair: LegendrePair, u: float) -> float:
+def h_L_prime(law: EntryLaw, u: float) -> float:
     """Inverse of L': the unique theta with L'(theta) = u, u > 0.
 
     Newton from a crude log guess, with a bisection fallback on an expanding
@@ -130,10 +125,10 @@ def h_L_prime(pair: LegendrePair, u: float) -> float:
     if not (math.isfinite(u) and u > 0):
         raise DomainError(f"h_L' defined for finite u > 0 only, got {u!r}")
     key = float(u)
-    memo = pair._theta_memo
+    memo = law._theta_memo
     if key in memo:
         return memo[key]
-    theta = _invert_L_prime(pair.law, u)
+    theta = _invert_L_prime(law, u)
     memo[key] = theta
     return theta
 
@@ -184,7 +179,7 @@ def _invert_L_prime(law: EntryLaw, u: float) -> float:
     return theta
 
 
-def legendre_h_L(pair: LegendrePair, u: float) -> float:
+def legendre_h_L(law: EntryLaw, u: float) -> float:
     """Convex conjugate h_L(u) = sup_theta {theta u - L(theta)}.
 
     +inf for u < 0, exactly 1 at u = 0, and 0 only at u = 1.
@@ -193,15 +188,15 @@ def legendre_h_L(pair: LegendrePair, u: float) -> float:
         return math.inf
     if u == 0:
         return 1.0
-    theta = h_L_prime(pair, u)
-    return theta * u - cgf_L(pair, theta)
+    theta = h_L_prime(law, u)
+    return theta * u - cgf_L(law, theta)
 
 
-def kernel_entropy(pair: LegendrePair, W: StepKernel) -> float:
+def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
     """H(W) = 1/2 * integral of h_L over the kernel."""
     mu = W.partition.part_measures
     vals = np.unique(W.values)
-    table = {v: legendre_h_L(pair, float(v)) for v in vals}
+    table = {v: legendre_h_L(law, float(v)) for v in vals}
     h = np.vectorize(lambda v: table[v])(W.values)
     # sorted fsum makes the result exactly invariant under part relabelling
     terms = (h * np.outer(mu, mu)).ravel()
@@ -211,11 +206,11 @@ def kernel_entropy(pair: LegendrePair, W: StepKernel) -> float:
 def er_rate_h(u: float) -> float:
     """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity)."""
     if u < 0:
-        raise NegativeInput("h defined for u >= 0")
+        raise DomainError("h defined for u >= 0")
     return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
 
 
-def k_alpha(pair: LegendrePair, alpha: float, eps: float) -> float:
+def k_alpha(law: EntryLaw, alpha: float, eps: float) -> float:
     """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps,
     to within K_ALPHA_PSI_TOL in psi.
 
@@ -230,7 +225,7 @@ def k_alpha(pair: LegendrePair, alpha: float, eps: float) -> float:
     target = alpha / eps
 
     def psi(u):
-        return legendre_h_L(pair, u) / u
+        return legendre_h_L(law, u) / u
 
     # psi grows like log u for bounded laws, so square the bracket bound and
     # bisect geometrically (in log u) to cover very large roots
@@ -340,7 +335,7 @@ class RateSearchResult:
     attained_distance: float
 
 
-def rate_upper_bound(pair: LegendrePair, target, family,
+def rate_upper_bound(law: EntryLaw, target, family,
                      tol: float) -> RateSearchResult:
     """Search a finite kernel family for the cheapest one whose QVE measure,
     inverted on its default grid, lands within tol of the target (an upper
@@ -354,7 +349,7 @@ def rate_upper_bound(pair: LegendrePair, target, family,
         dist = metric_d(mu, target)
         if dist > tol:
             continue
-        H = kernel_entropy(pair, W)
+        H = kernel_entropy(law, W)
         if best is None or H < best.H_value:
             best = RateSearchResult(W, H, dist)
     if best is None:
@@ -364,6 +359,6 @@ def rate_upper_bound(pair: LegendrePair, target, family,
     return best
 
 
-def rate_table(pair: LegendrePair, u_values):
+def rate_table(law: EntryLaw, u_values):
     """(u, h_L(u)) rows for a CSV export."""
-    return [(float(u), legendre_h_L(pair, float(u))) for u in u_values]
+    return [(float(u), legendre_h_L(law, float(u))) for u in u_values]

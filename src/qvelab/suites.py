@@ -170,8 +170,7 @@ def rank_ks_suite(seed=0, trials=200) -> SuiteResult:
         Mp = M.copy()
         Mp[rows, :] = 0.0
         Mp[:, rows] = 0.0
-        d = measures.ks_distance(ensembles.esm(M).measure,
-                                 ensembles.esm(Mp).measure)
+        d = measures.ks_distance(ensembles.esm(M), ensembles.esm(Mp))
         bound = 2.0 * r / n + 1e-12
         return CheckReport(d, bound, d <= bound)
     return _run("rank_ks", seed, trials, trial)
@@ -198,15 +197,15 @@ def cut_norm_exactness_suite(seed=0, trials=100, k_max=8) -> SuiteResult:
 
 def k_alpha_roundtrip_suite(seed=0, trials=100) -> SuiteResult:
     """psi(K_alpha(eps)) = alpha/eps for the Rademacher law."""
-    pair = rates.LegendrePair(rates.EntryLaw.rademacher())
+    law = rates.EntryLaw.rademacher()
 
     def trial(rng):
         # alpha/eps <= 500 keeps the root u = e^(alpha/eps + ...) within
         # float range for the logarithmically growing Rademacher psi
         alpha = float(rng.uniform(1.0, 50.0))
         eps = float(rng.uniform(0.1, 0.98))
-        u = rates.k_alpha(pair, alpha, eps)
-        err = abs(rates.legendre_h_L(pair, u) / u - alpha / eps)
+        u = rates.k_alpha(law, alpha, eps)
+        err = abs(rates.legendre_h_L(law, u) / u - alpha / eps)
         return CheckReport(err, 1e-9, err <= 1e-9)
     return _run("k_alpha_roundtrip", seed, trials, trial)
 

@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KTooLarge, PartitionMismatch
+from .errors import ExactTooLarge, PartitionMismatch
 from .kernels import StepKernel, cut_norm, degree_function
 from .report import CheckReport
 
 MAX_EDGES = 10
-# rounding slack of counting_lemma_check; a constant so no call can loosen it
+# rounding slacks of counting_lemma_check and degree_bound_check; constants so
+# no call can loosen them
 COUNTING_SLACK = 1e-12
+DEGREE_SLACK = 1e-12
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -97,7 +99,7 @@ def enumerate_trees(k: int) -> list:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > MAX_EDGES:
-        raise KTooLarge(f"tree enumeration limited to k <= {MAX_EDGES}")
+        raise ExactTooLarge(f"tree enumeration limited to k <= {MAX_EDGES}")
     words = []
 
     def rec(prefix, opens, closes):
@@ -225,13 +227,14 @@ def counting_lemma_check(tree: RootedPlanarTree, w, w_prime) -> CheckReport:
 
 
 def degree_bound_check(tree: RootedPlanarTree, w, part: int = 0) -> CheckReport:
-    """Rooted densities are bounded by the max sup-degree to the edge count."""
+    """Rooted densities are bounded by the max sup-degree to the edge count,
+    up to DEGREE_SLACK."""
     if tree.n_edges == 0:
         return CheckReport(1.0, 1.0, True, {"edges": 0})
     kernels = _edge_kernels(tree, w)
     lhs = rooted_hom_density(tree, kernels, part)
     rhs = _max_sup_degree(kernels) ** tree.n_edges
-    return CheckReport(lhs, rhs, lhs <= rhs + 1e-12, {"edges": tree.n_edges})
+    return CheckReport(lhs, rhs, lhs <= rhs + DEGREE_SLACK, {"edges": tree.n_edges})
 
 
 def moments_table(W: StepKernel, max_order: int):

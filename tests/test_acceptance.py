@@ -11,7 +11,7 @@ import numpy as np
 
 from qvelab import cli, ensembles, kernels, measures, qve, rates, suites, trees
 from qvelab.kernels import Partition, StepKernel
-from qvelab.rates import EntryLaw, LegendrePair
+from qvelab.rates import EntryLaw
 
 
 def report(num, ok, desc):
@@ -80,9 +80,9 @@ def test_criterion_3_three_way_moments():
 
 def test_criterion_4_rademacher_rate():
     # h_L equals u ln u - u + 1 within 1e-9 on a 500-point grid
-    pair = LegendrePair(EntryLaw.rademacher())
+    law = EntryLaw.rademacher()
     us = np.linspace(0.01, 50.0, 500)
-    err = max(abs(rates.legendre_h_L(pair, float(u))
+    err = max(abs(rates.legendre_h_L(law, float(u))
                   - (u * math.log(u) - u + 1.0)) for u in us)
     report(4, err <= 1e-9, f"Rademacher rate closed form: max error {err:.2e}")
 
@@ -95,7 +95,7 @@ def test_criterion_5_typicality():
     hits = 0
     for seed in range(10):
         s = ensembles.sample_sparse_wigner(2000, 0.05, law, seed)
-        d = measures.ks_distance(ensembles.esm(s).measure, ref)
+        d = measures.ks_distance(ensembles.esm(s), ref)
         hits += d <= 0.05
     elapsed = time.time() - t0
     report(5, hits >= 9 and elapsed < 120.0,
@@ -111,7 +111,7 @@ def test_criterion_6_tilted_deviation():
     dists = []
     for seed in range(10):
         s = ensembles.tilted_sample(2000, 0.05, law, U, seed)
-        dists.append(measures.ks_distance(ensembles.esm(s).measure, target))
+        dists.append(measures.ks_distance(ensembles.esm(s), target))
     med = float(np.median(dists))
     report(6, med <= 0.08, f"tilted deviation: median KS {med:.4f}")
 

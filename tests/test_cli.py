@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,21 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err.strip())["message"] == "n must be >= 1"
 
+    @pytest.mark.parametrize("kernel, error", [
+        (StepKernel(Partition([0.3, 1.0]), [[1.0, 2.0], [2.0, 1.0]]),
+         "PartMeasureMismatch"),
+        (StepKernel(Partition.equal(2), [[1.0, 0.0], [0.0, 1.0]]), "DomainError"),
+    ])
+    def test_tilt_kernel_errors_exit_2_by_name(self, tmp_path, kernel, error, capsys):
+        path = tmp_path / "U.json"
+        kernels.save_kernel(kernel, path)
+        code, out, err = run(["tilt", "--kernel", str(path), "--n", "10",
+                              "--p", "0.2", "--out", str(tmp_path / "x.csv")],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip())["error"] == error
+
     def test_sample_larger_than_n_exits_2(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         assert run(["sample", "--n", "50", "--p", "0.2", "--seed", "1",
@@ -227,6 +243,52 @@ class TestExitCodes:
         assert code == 2 and line["error"] == "ValueError"
         assert "not finite" in line["message"]
 
+    @pytest.mark.parametrize("argv, text, value", [
+        (["moments", "--kernel"], '{"boundaries": [1], "values": [[NaN]]}',
+         "nan"),
+        (["moments", "--kernel"],
+         '{"boundaries": [0.5, 1], "values": [[1, Infinity], [Infinity, 1]]}',
+         "inf"),
+        (["qve-solve", "--z", "0+1i", "--kernel"],
+         '{"boundaries": [0.5, 1], "values": [[1, Infinity], [Infinity, 1]]}',
+         "inf"),
+        (["rate", "--num", "3", "--law"],
+         '{"support": [-1, NaN, 1], "probs": [0.25, 0.5, 0.25]}', "nan"),
+    ])
+    def test_non_finite_json_exits_2_by_value(self, tmp_path, argv, text, value):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        proc = run_python(["-m", "qvelab.cli", *argv, str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        line = json.loads(lines[0])
+        assert line["error"] == "ValueError"
+        assert f"value {value} " in line["message"]
+        assert "not finite" in line["message"]
+
+    @pytest.mark.parametrize("text", ["x,weight\n0.5,0.5\nnan,0.5\n",
+                                      "eigenvalue\n0.5\nnan\n"])
+    def test_non_finite_measure_csv_exits_2_by_value(self, tmp_path, text, capsys):
+        path = tmp_path / "mu.csv"
+        path.write_text(text)
+        code, out, err = run(["compare", "--a", str(path), "--b", "semicircle"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        line = json.loads(err.strip())
+        assert line["error"] == "ValueError"
+        assert "value nan in data row 2 is not finite" in line["message"]
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_spectrum_matrix_nonpositive_size_exits_2(self, tmp_path, n, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("i,j,value\n")
+        code, line = self._spectrum_of_csv(path, n, capsys)
+        assert code == 2
+        assert line == {"error": "ValueError", "message": "n must be >= 1"}
+
     @pytest.mark.parametrize("bounds", [["--u-min", "1", "--u-max", "inf"],
                                         ["--u-min", "nan", "--u-max", "5"]])
     def test_rate_non_finite_bound_exits_2(self, bounds):
@@ -258,6 +320,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "SolveFailure"
+
+
+def _readme_commands():
+    """The ``qvelab ...`` lines of README's "Command line" block."""
+    text = (Path(SRC).parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qvelab ")]
+
+
+def test_readme_commands_parse():
+    lines = _readme_commands()
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
 
 
 def test_cli_import_leaves_scipy_unloaded():

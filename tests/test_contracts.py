@@ -19,12 +19,16 @@ def test_contract_values():
     assert qve.STABILITY_KAPPA == 128.0
     assert measures.HW_SLACK == 2e-3
     assert measures.INTERLACING_SLACK == 1e-3
+    assert measures.METRIC_SLACK == 1e-9
     assert trees.COUNTING_SLACK == 1e-12
+    assert trees.DEGREE_SLACK == 1e-12
 
 
 @pytest.mark.parametrize("fn", [qve.solve_qve, qve.stability_check,
                                 measures.hw_check, measures.interlacing_check,
-                                trees.counting_lemma_check])
+                                measures.metric_inequality_check,
+                                trees.counting_lemma_check,
+                                trees.degree_bound_check])
 def test_no_call_can_loosen_a_contract(fn):
     params = inspect.signature(fn).parameters.values()
     assert not [p.name for p in params

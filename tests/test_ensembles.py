@@ -14,10 +14,11 @@ from qvelab import ensembles, kernels, rates
 from qvelab.errors import (
     AsymmetricInput,
     DivisibilityError,
-    KernelNotPositive,
+    DomainError,
+    PartMeasureMismatch,
 )
 from qvelab.kernels import Partition, StepKernel
-from qvelab.rates import EntryLaw, LegendrePair
+from qvelab.rates import EntryLaw
 
 
 RADEMACHER = EntryLaw.rademacher()
@@ -84,13 +85,12 @@ def sampler_cases(draw):
 def _law_tables(p, U, tilted):
     """Scalar oracle of the law of block pair (a, b): the edge probability
     and the cumulative value law, its last entry forced to 1."""
-    pair = LegendrePair(ZERO_ATOM)
 
     def table(a, b):
         p_edge, probs = p, ZERO_ATOM.probs
         if tilted:
-            theta = rates.h_L_prime(pair, float(U.values[a, b]))
-            L = rates.cgf_L(pair, theta)
+            theta = rates.h_L_prime(ZERO_ATOM, float(U.values[a, b]))
+            L = rates.cgf_L(ZERO_ATOM, theta)
             p_edge = p * (L + 1.0) / (1.0 + p * L)
             probs = probs * np.exp(theta * ZERO_ATOM.support ** 2)
             probs = probs / probs.sum()
@@ -150,21 +150,20 @@ class TestEsm:
     def test_zero_matrix(self):
         # [TRIVIAL] delta_0
         e = ensembles.esm(np.zeros((4, 4)))
-        assert np.array_equal(e.eigenvalues, np.zeros(4))
+        assert np.array_equal(e.x, np.zeros(4))
 
     def test_diagonal(self):
         # [TRIVIAL]
         e = ensembles.esm(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(e.eigenvalues, [1.0, 2.0, 3.0])
+        assert np.allclose(e.x, [1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
         # [DERIVED] characteristic polynomial
         e = ensembles.esm(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(e.eigenvalues, [-1.0, 1.0])
+        assert np.allclose(e.x, [-1.0, 1.0])
 
     def test_measure_weights(self):
-        e = ensembles.esm(np.diag([1.0, 1.0, 5.0]))
-        mu = e.measure
+        mu = ensembles.esm(np.diag([1.0, 1.0, 5.0]))
         assert abs(mu.w.sum() - 1.0) <= 1e-12
         assert mu.x.size == 3
 
@@ -243,9 +242,14 @@ class TestTiltedSample:
             ensembles.tilted_sample(10, 0.2, RADEMACHER,
                                     StepKernel.constant(2.0, 3), 0)
 
+    def test_unequal_parts_error(self):
+        U = StepKernel(Partition([0.3, 1.0]), [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(PartMeasureMismatch):
+            ensembles.tilted_sample(10, 0.2, RADEMACHER, U, 0)
+
     def test_positivity_error(self):
         U = StepKernel(Partition.equal(2), [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(KernelNotPositive):
+        with pytest.raises(DomainError):
             ensembles.tilted_sample(10, 0.2, RADEMACHER, U, 0)
 
     def test_empty_size_rejected_like_plain_sampling(self):
@@ -269,7 +273,7 @@ class TestResolvent:
         M = (M + M.T) / math.sqrt(40)
         z = 0.7 + 1.5j
         G = ensembles.resolvent(M, z)
-        m_esm = ensembles.esm(M).measure.stieltjes(z)
+        m_esm = ensembles.esm(M).stieltjes(z)
         assert abs(np.trace(G) / 20 - m_esm) <= 1e-10
 
     def test_norm_bound(self):

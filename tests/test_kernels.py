@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,19 @@ class TestPartition:
     def test_unequal_measure_detected(self):
         assert not Partition([0.3, 1.0]).is_equal_measure()
 
+    def test_hash_agrees_with_eq(self):
+        # boundaries 6e-13 apart are equal, and straddle a 12-digit rounding
+        a = Partition([0.1234567890125 - 3e-13, 1.0])
+        b = Partition([0.1234567890125 + 3e-13, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        vals = [[1.0, 2.0], [2.0, 0.0]]
+        assert len({StepKernel(a, vals), StepKernel(b, vals)}) == 1
+
+    def test_rejects_nan_boundary(self):
+        with pytest.raises(ValueError):
+            Partition([0.3, math.nan, 1.0])
+
 
 # ---------------------------------------------------------------------------
 # StepKernel
@@ -90,6 +104,11 @@ class TestStepKernel:
     def test_constant(self):
         W = StepKernel.constant(3.0, 2)
         assert np.array_equal(W.values, np.full((2, 2), 3.0))
+
+    def test_hash_agrees_with_eq_on_signed_zero(self):
+        a = StepKernel(Partition.equal(2), [[0.0, 1.0], [1.0, 0.0]], signed=True)
+        b = StepKernel(Partition.equal(2), [[-0.0, 1.0], [1.0, 0.0]], signed=True)
+        assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from qvelab import measures, qve
-from qvelab.errors import PreconditionViolated
+from qvelab.errors import PartitionMismatch, PreconditionViolated
 from qvelab.kernels import Partition, StepKernel
 from qvelab.measures import ProbMeasure1D
 
@@ -274,7 +274,7 @@ class TestInterlacingCheck:
             measures.interlacing_check(W, Wp, 0.25)
 
     def test_partition_mismatch(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PartitionMismatch):
             measures.interlacing_check(StepKernel.constant(1.0, 2),
                                        StepKernel.constant(1.0, 3), 1.0)
 

@@ -145,6 +145,19 @@ class TestSolveQve:
         assert exc.value.points == [2j, 1 + 1j]
         assert exc.value.exit_code == 1
 
+    def test_continuation_near_axis_small_entries(self):
+        # a level accepted at LEVEL_TOL with Re m of the wrong sign used to
+        # leave these points unsolved; the warm start from Im z = 1e-3 is the
+        # oracle, and the measure is symmetric, so m(-x) = -conj(m(x))
+        W = StepKernel(Partition.equal(2), [[2.0 ** -7, 1.0], [1.0, 0.0]])
+        z = np.array([-0.00075 + 0.0005j, 0.00075 + 0.0005j])
+        sol = qve.solve_qve(W, z)
+        assert sol.residuals.max() <= 1e-12
+        assert (sol.m_values.imag > 0).all()
+        warm = qve.solve_qve(W, z, m0=qve.solve_qve(W, z + 0.0005j).m_values)
+        assert np.abs(sol.m_values - warm.m_values).max() <= 1e-10
+        assert np.abs(sol.m_values[0] + sol.m_values[1].conj()).max() <= 1e-10
+
     def test_uniqueness_two_initializations(self):
         # uniqueness proxy: default start -1/z vs warm start i*ones
         rng = np.random.default_rng(1)

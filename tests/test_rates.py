@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 from qvelab import kernels, rates
-from qvelab.errors import DomainError, NegativeInput, NoFeasibleKernel
+from qvelab.errors import DomainError, NoFeasibleKernel
 from qvelab.kernels import Partition, StepKernel
-from qvelab.rates import EntryLaw, LegendrePair
+from qvelab.rates import EntryLaw
 
 
 SPREAD_LAW = EntryLaw([-math.sqrt(2.0), 0.0, math.sqrt(2.0)],
@@ -47,103 +47,102 @@ class TestEntryLaw:
 class TestCgfL:
     def test_rademacher_zero(self):
         # [TRIVIAL]
-        assert rates.cgf_L(LegendrePair(EntryLaw.rademacher()), 0.0) == 0.0
+        assert rates.cgf_L(EntryLaw.rademacher(), 0.0) == 0.0
 
     def test_rademacher_one(self):
         # [DERIVED] A^2 = 1 so L(theta) = e^theta - 1
-        pair = LegendrePair(EntryLaw.rademacher())
-        assert abs(rates.cgf_L(pair, 1.0) - (math.e - 1.0)) <= 1e-12
+        law = EntryLaw.rademacher()
+        assert abs(rates.cgf_L(law, 1.0) - (math.e - 1.0)) <= 1e-12
 
     def test_spread_law(self):
         # [DERIVED] direct sum: (e^2 - 1) / 2
-        pair = LegendrePair(SPREAD_LAW)
-        assert abs(rates.cgf_L(pair, 1.0) - (math.e ** 2 - 1.0) / 2.0) <= 1e-12
+        law = SPREAD_LAW
+        assert abs(rates.cgf_L(law, 1.0) - (math.e ** 2 - 1.0) / 2.0) <= 1e-12
 
     def test_derivative_at_zero_is_variance(self):
         for law in (EntryLaw.rademacher(), SPREAD_LAW):
-            assert abs(rates.cgf_L_prime(LegendrePair(law), 0.0) - 1.0) <= 1e-12
+            assert abs(rates.cgf_L_prime(law, 0.0) - 1.0) <= 1e-12
 
 
 class TestLegendreHL:
     def test_u1_any_law(self):
         # [PAPER] h_L vanishes only at 1
         for law in (EntryLaw.rademacher(), SPREAD_LAW):
-            assert abs(rates.legendre_h_L(LegendrePair(law), 1.0)) <= 1e-12
+            assert abs(rates.legendre_h_L(law, 1.0)) <= 1e-12
 
     def test_rademacher_u2(self):
         # [DERIVED] closed form u ln u - u + 1
-        pair = LegendrePair(EntryLaw.rademacher())
-        assert abs(rates.legendre_h_L(pair, 2.0)
+        law = EntryLaw.rademacher()
+        assert abs(rates.legendre_h_L(law, 2.0)
                    - (2.0 * math.log(2.0) - 1.0)) <= 1e-12
 
     def test_u0(self):
         # [PAPER] h_L(0) = 1
         for law in (EntryLaw.rademacher(), SPREAD_LAW):
-            assert rates.legendre_h_L(LegendrePair(law), 0.0) == 1.0
+            assert rates.legendre_h_L(law, 0.0) == 1.0
 
     def test_negative_is_infinite(self):
-        assert rates.legendre_h_L(LegendrePair(EntryLaw.rademacher()), -0.5) == math.inf
+        assert rates.legendre_h_L(EntryLaw.rademacher(), -0.5) == math.inf
 
     def test_rademacher_closed_form_grid(self):
         # invariant: matches u ln u - u + 1 within 1e-9 on [0.01, 50]
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         for u in np.linspace(0.01, 50.0, 500):
-            assert abs(rates.legendre_h_L(pair, float(u))
+            assert abs(rates.legendre_h_L(law, float(u))
                        - rademacher_h(float(u))) <= 1e-9
 
     def test_fenchel_young(self):
         # theta * u <= L(theta) + h_L(u), equality at u = L'(theta)
         rng = np.random.default_rng(0)
         for law in (EntryLaw.rademacher(), SPREAD_LAW):
-            pair = LegendrePair(law)
             for _ in range(50):
                 theta = float(rng.uniform(-3.0, 2.0))
                 u = float(rng.uniform(0.01, 10.0))
                 lhs = theta * u
-                rhs = rates.cgf_L(pair, theta) + rates.legendre_h_L(pair, u)
+                rhs = rates.cgf_L(law, theta) + rates.legendre_h_L(law, u)
                 assert lhs <= rhs + 1e-10
-                u_star = rates.cgf_L_prime(pair, theta)
-                gap = (rates.cgf_L(pair, theta)
-                       + rates.legendre_h_L(pair, u_star) - theta * u_star)
+                u_star = rates.cgf_L_prime(law, theta)
+                gap = (rates.cgf_L(law, theta)
+                       + rates.legendre_h_L(law, u_star) - theta * u_star)
                 assert abs(gap) <= 1e-9
 
     def test_convexity_midpoint(self):
         rng = np.random.default_rng(1)
-        pair = LegendrePair(SPREAD_LAW)
+        law = SPREAD_LAW
         for _ in range(50):
             a, b = sorted(rng.uniform(0.01, 20.0, 2))
             mid = 0.5 * (a + b)
-            assert (rates.legendre_h_L(pair, mid)
-                    <= 0.5 * rates.legendre_h_L(pair, a)
-                    + 0.5 * rates.legendre_h_L(pair, b) + 1e-10)
+            assert (rates.legendre_h_L(law, mid)
+                    <= 0.5 * rates.legendre_h_L(law, a)
+                    + 0.5 * rates.legendre_h_L(law, b) + 1e-10)
 
     def test_psi_nondecreasing(self):
         # h_L(u)/u nondecreasing for u >= 1
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         us = np.linspace(1.0, 30.0, 100)
-        psi = [rates.legendre_h_L(pair, float(u)) / u for u in us]
+        psi = [rates.legendre_h_L(law, float(u)) / u for u in us]
         assert all(b >= a - 1e-12 for a, b in zip(psi, psi[1:]))
 
     def test_memo_bit_identical(self):
-        pair_a = LegendrePair(SPREAD_LAW)
-        pair_b = LegendrePair(SPREAD_LAW)
+        law_a = EntryLaw(SPREAD_LAW.support, SPREAD_LAW.probs)
+        law_b = EntryLaw(SPREAD_LAW.support, SPREAD_LAW.probs)
         for u in (0.3, 2.7, 11.0):
-            first = rates.legendre_h_L(pair_a, u)
-            again = rates.legendre_h_L(pair_a, u)   # memoized path
-            fresh = rates.legendre_h_L(pair_b, u)   # unmemoized path
+            first = rates.legendre_h_L(law_a, u)
+            again = rates.legendre_h_L(law_a, u)   # memoized path
+            fresh = rates.legendre_h_L(law_b, u)   # unmemoized path
             assert first == again == fresh
 
     def test_h_L_prime_inverts_L_prime(self):
-        pair = LegendrePair(SPREAD_LAW)
+        law = SPREAD_LAW
         for u in (0.05, 0.8, 1.0, 3.0, 40.0):
-            theta = rates.h_L_prime(pair, u)
-            assert abs(rates.cgf_L_prime(pair, theta) - u) <= 1e-9 * max(1.0, u)
+            theta = rates.h_L_prime(law, u)
+            assert abs(rates.cgf_L_prime(law, theta) - u) <= 1e-9 * max(1.0, u)
 
     def test_h_L_prime_rejects_non_finite(self):
-        pair = LegendrePair(SPREAD_LAW)
+        law = SPREAD_LAW
         for u in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                rates.h_L_prime(pair, u)
+                rates.h_L_prime(law, u)
 
 
 class TestHLPrimeBisection:
@@ -161,7 +160,7 @@ class TestHLPrimeBisection:
             return real(law, theta, order)
 
         monkeypatch.setattr(rates, "_L_derivative", spy)
-        theta = rates.h_L_prime(LegendrePair(law), u)
+        theta = rates.h_L_prime(law, u)
         assert calls.count(1) > 101
         return theta
 
@@ -176,42 +175,41 @@ class TestHLPrimeBisection:
         law = EntryLaw([-s3, 0.0, s3], [1 / 6, 2 / 3, 1 / 6])
         u = 1.2176469362061843e+42
         theta = self._solve_counting(monkeypatch, law, u)
-        pair = LegendrePair(law)
-        oracle = brentq(lambda t: rates.cgf_L_prime(pair, t) - u, 0.0, 100.0,
+        oracle = brentq(lambda t: rates.cgf_L_prime(law, t) - u, 0.0, 100.0,
                         xtol=1e-15, rtol=8.9e-16, maxiter=500)
         for t in (theta, oracle):
-            assert abs(rates.cgf_L_prime(pair, t) / u - 1.0) <= 1e-12
+            assert abs(rates.cgf_L_prime(law, t) / u - 1.0) <= 1e-12
         assert abs(theta - oracle) <= 4 * math.ulp(oracle)
 
 
 class TestKernelEntropy:
     def test_constant_one(self):
         # [PAPER] h_L(1) = 0 so H = 0
-        pair = LegendrePair(EntryLaw.rademacher())
-        assert abs(rates.kernel_entropy(pair, StepKernel.constant(1.0, 2))) <= 1e-12
+        law = EntryLaw.rademacher()
+        assert abs(rates.kernel_entropy(law, StepKernel.constant(1.0, 2))) <= 1e-12
 
     def test_zero_kernel(self):
         # [DERIVED] h_L(0) = 1, half the square
-        pair = LegendrePair(EntryLaw.rademacher())
-        assert abs(rates.kernel_entropy(pair, StepKernel.constant(0.0, 3))
+        law = EntryLaw.rademacher()
+        assert abs(rates.kernel_entropy(law, StepKernel.constant(0.0, 3))
                    - 0.5) <= 1e-12
 
     def test_constant_two(self):
         # [DERIVED] (2 ln 2 - 1) / 2
-        pair = LegendrePair(EntryLaw.rademacher())
-        assert abs(rates.kernel_entropy(pair, StepKernel.constant(2.0))
+        law = EntryLaw.rademacher()
+        assert abs(rates.kernel_entropy(law, StepKernel.constant(2.0))
                    - (2.0 * math.log(2.0) - 1.0) / 2.0) <= 1e-12
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(2)
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         for _ in range(10):
             vals = rng.uniform(0.1, 4.0, (4, 4))
             vals = 0.5 * (vals + vals.T)
             W = StepKernel(Partition.equal(4), vals)
             sigma = list(rng.permutation(4))
-            assert (rates.kernel_entropy(pair, W)
-                    == rates.kernel_entropy(pair, kernels.relabel(W, sigma)))
+            assert (rates.kernel_entropy(law, W)
+                    == rates.kernel_entropy(law, kernels.relabel(W, sigma)))
 
 
 class TestErRateH:
@@ -228,7 +226,7 @@ class TestErRateH:
         assert abs(rates.er_rate_h(math.e) - 1.0) <= 1e-12
 
     def test_negative(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(DomainError):
             rates.er_rate_h(-0.1)
 
 
@@ -236,19 +234,19 @@ class TestKAlpha:
     def test_round_trip(self):
         # [DERIVED] defining identity psi(K_alpha(eps)) = alpha / eps
         rng = np.random.default_rng(3)
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         for _ in range(100):
             # alpha/eps <= 500: the root u = e^(alpha/eps + ...) must stay
             # within float range (psi grows only logarithmically)
             alpha = float(rng.uniform(1.0, 50.0))
             eps = float(rng.uniform(0.1, 0.98))
-            u = rates.k_alpha(pair, alpha, eps)
-            psi = rates.legendre_h_L(pair, u) / u
+            u = rates.k_alpha(law, alpha, eps)
+            psi = rates.legendre_h_L(law, u) / u
             assert abs(psi - alpha / eps) <= 1e-9
 
     def test_rademacher_oracle_bisection(self):
         # [DERIVED] independent oracle: bisect psi(u) = ln u - 1 + 1/u directly
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         target = 1.0 + math.exp(-2.0)   # attained at u = e^2
         lo, hi = 1.0, 1e6
         for _ in range(200):
@@ -260,33 +258,33 @@ class TestKAlpha:
         oracle = 0.5 * (lo + hi)
         assert abs(oracle - math.e ** 2) <= 1e-6
         # pick (alpha, eps) with alpha/eps = target
-        u = rates.k_alpha(pair, 1.0, 1.0 / target)
+        u = rates.k_alpha(law, 1.0, 1.0 / target)
         assert abs(u - math.e ** 2) <= 1e-6
 
     def test_limit_to_one(self):
         # [TRIVIAL] psi(1) = 0, so alpha/eps -> 0+ gives u -> 1+
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         prev = math.inf
         for eps in (0.5, 0.9, 0.99):
-            u = rates.k_alpha(pair, 1.0, eps)
+            u = rates.k_alpha(law, 1.0, eps)
             assert 1.0 < u <= prev
             prev = u
 
     def test_domain_errors(self):
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         with pytest.raises(DomainError):
-            rates.k_alpha(pair, 0.5, 0.5)
+            rates.k_alpha(law, 0.5, 0.5)
         with pytest.raises(DomainError):
-            rates.k_alpha(pair, 2.0, 1.5)
+            rates.k_alpha(law, 2.0, 1.5)
 
     def test_root_beyond_float_range(self):
         # psi = h_L(u)/u overflows to inf above u ~ 2.6e305 (psi ~ 702), so
         # alpha/eps = 708 has no float root; 700 still has one
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         with pytest.raises(DomainError):
-            rates.k_alpha(pair, 354.0, 0.5)
-        u = rates.k_alpha(pair, 350.0, 0.5)
-        assert abs(rates.legendre_h_L(pair, u) / u - 700.0) <= 1e-10
+            rates.k_alpha(law, 354.0, 0.5)
+        u = rates.k_alpha(law, 350.0, 0.5)
+        assert abs(rates.legendre_h_L(law, u) / u - 700.0) <= 1e-10
 
 
 class TestBennettBound:
@@ -380,46 +378,46 @@ class TestRateUpperBound:
     def test_semicircle_target(self):
         # [PAPER] the semicircle minimizer is W = 1 with H = 0
         from qvelab import qve
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         family = [StepKernel.constant(c) for c in (0.5, 1.0, 2.0)]
         target = qve.semicircle_reference()
-        out = rates.rate_upper_bound(pair, target, family, tol=0.01)
+        out = rates.rate_upper_bound(law, target, family, tol=0.01)
         assert np.allclose(out.best_kernel.values, 1.0)
         assert abs(out.H_value) <= 1e-12
 
     def test_family_member_target(self):
         # [TRIVIAL] W0 itself is feasible
         from qvelab import qve
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         W0 = StepKernel.constant(2.0)
         target = qve.qve_measure(W0)
-        out = rates.rate_upper_bound(pair, target,
+        out = rates.rate_upper_bound(law, target,
                                      [StepKernel.constant(2.0),
                                       StepKernel.constant(3.0)], tol=0.01)
-        assert out.H_value <= rates.kernel_entropy(pair, W0) + 1e-12
+        assert out.H_value <= rates.kernel_entropy(law, W0) + 1e-12
 
     def test_excluding_one_gives_positive_entropy(self):
         # [DERIVED] h_L vanishes only at 1
         from qvelab import qve
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         target = qve.semicircle_reference()
-        out = rates.rate_upper_bound(pair, target,
+        out = rates.rate_upper_bound(law, target,
                                      [StepKernel.constant(0.9),
                                       StepKernel.constant(1.1)], tol=0.1)
         assert out.H_value > 0.0
 
     def test_no_feasible_kernel(self):
         from qvelab import qve
-        pair = LegendrePair(EntryLaw.rademacher())
+        law = EntryLaw.rademacher()
         target = qve.semicircle_reference()
         with pytest.raises(NoFeasibleKernel):
-            rates.rate_upper_bound(pair, target,
+            rates.rate_upper_bound(law, target,
                                    [StepKernel.constant(4.0)], tol=1e-4)
 
 
 class TestRateTable:
     def test_rows(self):
-        pair = LegendrePair(EntryLaw.rademacher())
-        rows = rates.rate_table(pair, [1.0, 2.0])
+        law = EntryLaw.rademacher()
+        rows = rates.rate_table(law, [1.0, 2.0])
         assert abs(rows[0][1]) <= 1e-12
         assert abs(rows[1][1] - (2 * math.log(2.0) - 1.0)) <= 1e-12

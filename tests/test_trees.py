@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qvelab import kernels, trees
-from qvelab.errors import KTooLarge, PartitionMismatch
+from qvelab.errors import ExactTooLarge, PartitionMismatch
 from qvelab.kernels import Partition, StepKernel
 from qvelab.trees import RootedPlanarTree
 
@@ -102,7 +102,7 @@ class TestEnumerateTrees:
         assert a == b == sorted(a)
 
     def test_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ExactTooLarge):
             trees.enumerate_trees(11)
 
     def test_negative(self):
