@@ -251,8 +251,6 @@ def l1_norm(W: StepKernel) -> float:
 MAX_EXACT_CUTNORM = 12
 MAX_EXACT_CUTDIST = 8
 HEURISTIC_RESTARTS = 20         # random starts of the heuristic cut norm
-ANNEAL_PROPOSALS = 10_000       # transpositions proposed by anneal mode
-ANNEAL_COOLING = 0.995          # temperature factor per proposal
 
 
 @dataclass
@@ -366,57 +364,26 @@ def _align_equal_parts(W1: StepKernel, W2: StepKernel):
     return a, b
 
 
-def cut_distance(W1: StepKernel, W2: StepKernel, mode: str = "exact",
-                 seed: int = 0) -> CutDistance:
+def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
     """min over part permutations sigma of ||W1 - W2^sigma||_box.
 
-    Exact mode enumerates all k! permutations (k <= 8); anneal mode runs
-    simulated annealing over ANNEAL_PROPOSALS transpositions, cooling by
-    ANNEAL_COOLING per proposal, and returns an upper bound.
+    Enumerates all k! permutations (k <= MAX_EXACT_CUTDIST) and returns the
+    first minimiser in itertools.permutations order.
     """
     a, b = _align_equal_parts(W1, W2)
     k = a.k
+    if k > MAX_EXACT_CUTDIST:
+        raise ExactTooLarge(
+            f"exact cut distance limited to k <= {MAX_EXACT_CUTDIST}, got {k}"
+        )
     mu2 = np.outer(a.partition.part_measures, a.partition.part_measures)
-
-    def cost(perm):
+    best_val, best_perm = math.inf, None
+    for perm in itertools.permutations(range(k)):
         diff = (a.values - b.values[np.ix_(perm, perm)]) * mu2
-        if k <= MAX_EXACT_CUTNORM:
-            return _cut_norm_exact(diff)[0]
-        rng = np.random.default_rng(seed)
-        return _cut_norm_heuristic(diff, rng)[0]
-
-    if mode == "exact":
-        if k > MAX_EXACT_CUTDIST:
-            raise ExactTooLarge(
-                f"exact cut distance limited to k <= {MAX_EXACT_CUTDIST}, got {k}"
-            )
-        best_val, best_perm = math.inf, None
-        for perm in itertools.permutations(range(k)):
-            v = cost(list(perm))
-            if v < best_val:
-                best_val, best_perm = v, perm
-        return CutDistance(best_val, True, best_perm)
-    if mode == "anneal":
-        rng = np.random.default_rng(seed)
-        perm = list(range(k))
-        cur = cost(perm)
-        best_val, best_perm = cur, tuple(perm)
-        temp = max(cur, 1e-3)
-        for _ in range(ANNEAL_PROPOSALS):
-            i, j = rng.integers(0, k, size=2)
-            if i == j:
-                continue
-            perm[i], perm[j] = perm[j], perm[i]
-            new = cost(perm)
-            if new <= cur or rng.random() < math.exp(-(new - cur) / max(temp, 1e-300)):
-                cur = new
-                if cur < best_val:
-                    best_val, best_perm = cur, tuple(perm)
-            else:
-                perm[i], perm[j] = perm[j], perm[i]
-            temp *= ANNEAL_COOLING
-        return CutDistance(best_val, False, best_perm)
-    raise ValueError(f"unknown mode {mode!r}")
+        v = _cut_norm_exact(diff)[0]
+        if v < best_val:
+            best_val, best_perm = v, perm
+    return CutDistance(best_val, True, best_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +391,6 @@ def cut_distance(W1: StepKernel, W2: StepKernel, mode: str = "exact",
 
 REGULARITY_CONTIGUOUS_CAP = 5000    # interval partitions tested for n > 8 parts
 REGULARITY_RANDOM_PARTITIONS = 100  # random partitions tested for n > 8 parts
-WEAK_REGULARITY_MAX_PARTS = 64      # part cap of the weak-regularity loop
 
 
 @dataclass
@@ -534,41 +500,6 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
     return RegularityReport(True, partial, tested, None)
 
 
-def weak_regularity_partition(W: StepKernel, eps: float, seed: int = 0):
-    """Weak-regularity refinement loop (heuristic).
-
-    Repeatedly finds the cut-norm witness of W - W_P and splits the groups of
-    P by it, stopping when the cut norm drops below eps or the part count
-    reaches WEAK_REGULARITY_MAX_PARTS.  Returns (grouping of W's parts,
-    achieved cut norm).
-    """
-    n = W.k
-    mu = W.partition.part_measures
-    groups = [list(range(n))]
-    while True:
-        # block averages of W on the current grouping, expanded to n parts
-        labels = np.empty(n, dtype=int)
-        for g, idx in enumerate(groups):
-            labels[idx] = g
-        stepped = _group_average(W, groups)[0][np.ix_(labels, labels)]
-        diff = (W.values - stepped) * np.outer(mu, mu)
-        if n <= MAX_EXACT_CUTNORM:
-            val, s, t = _cut_norm_exact(diff)
-        else:
-            val, s, t = _cut_norm_heuristic(diff, np.random.default_rng(seed))
-        if val <= eps or len(groups) >= WEAK_REGULARITY_MAX_PARTS:
-            return groups, val
-        new_groups = []
-        for idx in groups:
-            buckets = {}
-            for i in idx:
-                buckets.setdefault((s[i], t[i]), []).append(i)
-            new_groups.extend(buckets.values())
-        if len(new_groups) == len(groups):
-            return groups, val
-        groups = new_groups
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -613,18 +544,3 @@ def save_kernel(W: StepKernel, path):
 def load_kernel(path) -> StepKernel:
     with open(path) as fh:
         return kernel_from_json(fh.read())
-
-
-def save_adjacency_csv(adjacency, path):
-    a = np.asarray(adjacency)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_adjacency_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        n = int(fh.readline())
-        rows = [[float(x) for x in fh.readline().split(",")] for _ in range(n)]
-    return np.array(rows)

@@ -26,11 +26,13 @@ _BLOCK_ENTRIES = 1 << 15
 # midpoint quantile levels of a Wasserstein distance involving a grid measure
 QUANTILE_GRID = 10_000
 # grid-inversion slacks of the appendix inequalities (W2 <= sqrt(L1) and
-# d <= 2|E|), and the rounding slack of d <= min(W1, KS); they are constants
-# so that no call can loosen a check
+# d <= 2|E|), and the rounding slacks of d <= min(W1, KS) and of the
+# interlacing precondition |E| >= the measure where the kernels differ; they
+# are constants so that no call can loosen a check
 HW_SLACK = 2e-3
 INTERLACING_SLACK = 1e-3
 METRIC_SLACK = 1e-9
+INTERLACING_PRECONDITION_SLACK = 1e-12
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -250,7 +252,7 @@ def interlacing_check(W, W_prime, E_measure: float, grid=None) -> CheckReport:
         diff[i, :] = False
         diff[:, i] = False
     measure_diff = float(a.partition.part_measures[cover].sum())
-    if measure_diff > E_measure + 1e-12:
+    if measure_diff > E_measure + INTERLACING_PRECONDITION_SLACK:
         raise PreconditionViolated(
             f"kernels differ on measure {measure_diff} > E_measure {E_measure}"
         )

@@ -235,12 +235,6 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
     return QveSolution(z, m, res, W.partition.part_measures)
 
 
-def qve_stieltjes(W: StepKernel, z) -> complex:
-    """Stieltjes transform of the QVE measure: measure-weighted average of m."""
-    sol = solve_qve(W, [z])
-    return complex(sol.average()[0])
-
-
 def support_bound(W: StepKernel) -> float:
     """2 * sqrt(||S||_inf): the QVE measure is supported inside [-b, b]."""
     S = _coupling_matrix(W)

@@ -56,6 +56,16 @@ class EntryLaw:
         object.__setattr__(self, "support", v)
         object.__setattr__(self, "probs", p)
 
+    def __eq__(self, other):
+        if not isinstance(other, EntryLaw):
+            return NotImplemented
+        return (np.array_equal(self.support, other.support)
+                and np.array_equal(self.probs, other.probs))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0, which __eq__ equates with 0.0, to 0.0
+        return hash(((self.support + 0.0).tobytes(), (self.probs + 0.0).tobytes()))
+
     @classmethod
     def rademacher(cls) -> "EntryLaw":
         return cls([-1.0, 1.0], [0.5, 0.5])

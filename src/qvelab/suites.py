@@ -22,6 +22,11 @@ from .report import CheckReport
 KERNEL_VALUES = (0.0, 4.0)      # range of the random kernels' values
 MEASURE_ATOMS = 6               # atoms of each random atom measure
 RANK_KS_N = 60                  # matrix size of the rank_ks suite
+# slacks of the suites' own checks, constants so that no call can loosen one
+SCHUR_WARD_SCALE = 1e-9         # residual bound per unit of 1 + ||M||_1 / Im z
+RANK_KS_SLACK = 1e-12           # added to the 2r/n bound of rank_ks
+CUT_NORM_EXACT_TOL = 1e-12      # |exact - brute force| of cut_norm_exactness
+K_ALPHA_ROUNDTRIP_TOL = 1e-9    # |psi(K_alpha) - alpha/eps| of k_alpha_roundtrip
 
 
 @dataclass
@@ -74,7 +79,7 @@ def schur_ward_suite(seed=0, trials=100, n_max=100) -> SuiteResult:
         M = (M + M.T) / np.sqrt(2 * n)
         z = complex(rng.uniform(-1, 1), rng.uniform(1.0, 4.0))
         i = int(rng.integers(0, n))
-        scale = 1e-9 * (1.0 + np.abs(M).sum() / z.imag)
+        scale = SCHUR_WARD_SCALE * (1.0 + np.abs(M).sum() / z.imag)
         # np.maximum, unlike max(), keeps a NaN residual from either side
         res = float(np.maximum(ensembles.schur_residual(M, z, i),
                                ensembles.ward_residual(M, z, i)))
@@ -171,7 +176,7 @@ def rank_ks_suite(seed=0, trials=200) -> SuiteResult:
         Mp[rows, :] = 0.0
         Mp[:, rows] = 0.0
         d = measures.ks_distance(ensembles.esm(M), ensembles.esm(Mp))
-        bound = 2.0 * r / n + 1e-12
+        bound = 2.0 * r / n + RANK_KS_SLACK
         return CheckReport(d, bound, d <= bound)
     return _run("rank_ks", seed, trials, trial)
 
@@ -191,7 +196,7 @@ def cut_norm_exactness_suite(seed=0, trials=100, k_max=8) -> SuiteResult:
         ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
         brute = float(np.abs(ind @ M @ ind.T).max())
         err = abs(fast - brute)
-        return CheckReport(err, 1e-12, err <= 1e-12)
+        return CheckReport(err, CUT_NORM_EXACT_TOL, err <= CUT_NORM_EXACT_TOL)
     return _run("cut_norm_exactness", seed, trials, trial)
 
 
@@ -206,7 +211,7 @@ def k_alpha_roundtrip_suite(seed=0, trials=100) -> SuiteResult:
         eps = float(rng.uniform(0.1, 0.98))
         u = rates.k_alpha(law, alpha, eps)
         err = abs(rates.legendre_h_L(law, u) / u - alpha / eps)
-        return CheckReport(err, 1e-9, err <= 1e-9)
+        return CheckReport(err, K_ALPHA_ROUNDTRIP_TOL, err <= K_ALPHA_ROUNDTRIP_TOL)
     return _run("k_alpha_roundtrip", seed, trials, trial)
 
 

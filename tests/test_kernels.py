@@ -303,17 +303,7 @@ class TestCutDistance:
     def test_exact_too_large(self):
         W = StepKernel.constant(1.0, 9)
         with pytest.raises(ExactTooLarge):
-            kernels.cut_distance(W, W, mode="exact")
-
-    def test_anneal_upper_bounds_exact(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            W1 = random_kernel(rng, 4)
-            W2 = random_kernel(rng, 4)
-            exact = kernels.cut_distance(W1, W2, mode="exact")
-            anneal = kernels.cut_distance(W1, W2, mode="anneal", seed=1)
-            assert not anneal.exact
-            assert anneal.value >= exact.value - 1e-12
+            kernels.cut_distance(W, W)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(10)
@@ -339,7 +329,7 @@ class TestCutDistance:
                 val = np.abs(S @ D @ S.T).max()
                 if val < best_val:
                     best_val, best_perm = val, perm
-            d = kernels.cut_distance(W1, W2, mode="exact")
+            d = kernels.cut_distance(W1, W2)
             assert d.exact
             assert abs(d.value - best_val) <= 1e-12
             assert tuple(d.permutation) == best_perm
@@ -455,16 +445,6 @@ class TestUpperRegularity:
         assert rep.passed and rep.partial
 
 
-class TestWeakRegularity:
-    def test_refinement_reduces_cut_norm(self):
-        rng = np.random.default_rng(13)
-        W = random_kernel(rng, 10)
-        groups, achieved = kernels.weak_regularity_partition(W, eps=0.05)
-        assert achieved <= 0.05 or sum(len(g) for g in groups) == W.k
-        # stepping by the returned grouping reproduces the achieved bound
-        assert achieved >= 0.0
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -492,14 +472,6 @@ class TestSerialization:
         path = tmp_path / "kernel.json"
         kernels.save_kernel(W, path)
         assert kernels.load_kernel(path) == W
-
-    def test_adjacency_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        a = rng.uniform(0, 1, (5, 5))
-        a = 0.5 * (a + a.T)
-        path = tmp_path / "adj.csv"
-        kernels.save_adjacency_csv(a, path)
-        assert np.array_equal(kernels.load_adjacency_csv(path), a)
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,23 @@ def reference_density(W, grid):
 
 
 @st.composite
-def inversion_cases(draw):
-    """A kernel with k <= 8, some rows possibly zero, and a grid around its
-    support whose spacing is eta times 1/2, 1 or 2."""
+def kernel_values(draw):
+    """Symmetric values in [0, 4] of an equal-part kernel with k <= 8, some
+    rows possibly zero."""
     k = draw(st.integers(1, 8))
     vals = draw(arrays(float, (k, k), elements=st.floats(0.0, 4.0)))
     vals = 0.5 * (vals + vals.T)
     zero = draw(arrays(bool, k))
     vals[zero, :] = 0.0
     vals[:, zero] = 0.0
+    return vals
+
+
+@st.composite
+def inversion_cases(draw):
+    """A kernel from kernel_values and a grid around its support whose
+    spacing is eta times 1/2, 1 or 2."""
+    vals = draw(kernel_values())
     eta = draw(st.sampled_from([1e-3, 1e-2]))
     spacing = eta * draw(st.sampled_from([0.5, 1.0, 2.0]))
     return vals, eta, spacing
@@ -183,7 +191,7 @@ class TestSolveQve:
 class TestQveStieltjes:
     def test_constant_kernel(self):
         # [DERIVED] single part, equals m
-        val = qve.qve_stieltjes(StepKernel.constant(1.0), 2j)
+        val = complex(qve.solve_qve(StepKernel.constant(1.0), [2j]).average()[0])
         assert abs(val - (math.sqrt(2.0) - 1.0) * 1j) <= 1e-12
 
     def test_stieltjes_bound(self):
@@ -192,7 +200,7 @@ class TestQveStieltjes:
         for _ in range(20):
             W = random_kernel(rng, 3)
             z = complex(rng.uniform(-4, 4), rng.uniform(0.2, 5.0))
-            assert abs(qve.qve_stieltjes(W, z)) <= 1.0 / z.imag + 1e-12
+            assert abs(complex(qve.solve_qve(W, [z]).average()[0])) <= 1.0 / z.imag + 1e-12
 
     def test_block_kernel_vs_oracle(self):
         # [DERIVED] independent damped-iteration oracle at tolerance 1e-12
@@ -201,9 +209,33 @@ class TestQveStieltjes:
         S = qve._coupling_matrix(W)
         m_ref = damped_oracle(S, z)
         expected = float(W.partition.part_measures @ m_ref.imag)
-        got = qve.qve_stieltjes(W, z)
+        got = complex(qve.solve_qve(W, [z]).average()[0])
         assert abs(got - complex(W.partition.part_measures @ m_ref)) <= 1e-10
         assert abs(got.imag - expected) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(vals=kernel_values(), x=st.floats(-5.0, 5.0), y=st.floats(0.05, 4.0),
+           c=st.floats(0.25, 4.0))
+    def test_scaling(self, vals, x, y, c):
+        # [PAPER] S -> cS maps the QVE solution m(z) to c^{-1/2} m(z / sqrt c)
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        cW = StepKernel(W.partition, c * vals)
+        z = complex(x, y)
+        got = complex(qve.solve_qve(cW, [z]).average()[0])
+        want = complex(qve.solve_qve(W, [z / math.sqrt(c)]).average()[0]) / math.sqrt(c)
+        assert abs(got - want) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(vals=kernel_values(), x=st.floats(-5.0, 5.0), y=st.floats(0.05, 4.0),
+           data=st.data())
+    def test_relabel_invariance(self, vals, x, y, data):
+        # [PAPER] the average of m over equal parts ignores their order
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        sigma = data.draw(st.permutations(range(W.k)))
+        z = complex(x, y)
+        got = complex(qve.solve_qve(kernels.relabel(W, sigma), [z]).average()[0])
+        want = complex(qve.solve_qve(W, [z]).average()[0])
+        assert abs(got - want) <= 1e-12
 
 
 class TestSupportBound:

@@ -37,6 +37,19 @@ class TestEntryLaw:
         with pytest.raises(ValueError):
             EntryLaw([-1.0, 1.0], [0.4, 0.4])      # mass 0.8
 
+    def test_equal_laws_hash_alike(self):
+        a, b = EntryLaw.rademacher(), EntryLaw.rademacher()
+        assert a == b and hash(a) == hash(b)
+        assert {a: "law"}[b] == "law"
+
+    def test_equality_is_by_sorted_value(self):
+        s = math.sqrt(2.0)
+        shuffled = EntryLaw([s, -s, 0.0], [0.25, 0.25, 0.5])
+        assert shuffled == SPREAD_LAW and hash(shuffled) == hash(SPREAD_LAW)
+        signed_zero = EntryLaw([-s, -0.0, s], [0.25, 0.5, 0.25])
+        assert signed_zero == SPREAD_LAW and hash(signed_zero) == hash(SPREAD_LAW)
+        assert SPREAD_LAW != EntryLaw.rademacher()
+
     def test_json_round_trip(self):
         law = SPREAD_LAW
         back = EntryLaw.from_json(law.to_json())
