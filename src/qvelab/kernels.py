@@ -251,6 +251,14 @@ def l1_norm(W: StepKernel) -> float:
 MAX_EXACT_CUTNORM = 12
 MAX_EXACT_CUTDIST = 8
 HEURISTIC_RESTARTS = 20         # random starts of the heuristic cut norm
+CUTDIST_BLOCK = 8192            # (permutation, indicator row) pairs per product
+CUTDIST_TILE = 4                # indicator rows in the first pruning tile
+CUTDIST_INCUMBENTS = 16         # lowest-bound permutations scored for the incumbent
+# Relative slack on the incumbent when pruning.  A tile score and the full
+# score of one permutation differ from the exact values by rounding only,
+# about 1e-15 of the cut norm, so the margin only admits extra survivors;
+# the result is always the argmin of full-table scores.
+CUTDIST_MARGIN = 1e-9
 
 
 @dataclass
@@ -273,33 +281,46 @@ def _indicator_table(k: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _permutation_table(k: int) -> np.ndarray:
+    """All k! permutations of range(k) as rows, in itertools.permutations order.
+
+    Cached per k and read-only, since every caller shares the one array.
+    """
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def _weighted_values(W: StepKernel) -> np.ndarray:
     mu = W.partition.part_measures
     return W.values * np.outer(mu, mu)
 
 
-def _cut_norm_exact(M: np.ndarray):
-    """Max over 0/1 vectors s,t of |s^T M t|.
+def _row_scores(R: np.ndarray) -> np.ndarray:
+    """max over 0/1 vectors t of |r t|, for each row r = s^T D of R = S @ D.
 
-    For fixed s the inner max over t is attained by taking either all positive
-    or all negative coordinates of r = s^T M, which is the vertex enumeration
-    reduced along one side.
+    The max is attained by taking either all positive or all negative
+    coordinates of r, which is the vertex enumeration reduced along one side.
+    R may be a stack of products; the last axis is reduced.
     """
+    return np.maximum(np.clip(R, 0.0, None).sum(axis=-1),
+                      np.clip(-R, 0.0, None).sum(axis=-1))
+
+
+def _cut_norm_exact(M: np.ndarray):
+    """Max over 0/1 vectors s,t of |s^T M t|, with a maximising pair."""
     k = M.shape[0]
     S = _indicator_table(k)
-    R = S @ M
-    pos = np.clip(R, 0.0, None).sum(axis=1)
-    neg = np.clip(-R, 0.0, None).sum(axis=1)
-    best = np.argmax(np.maximum(pos, neg))
+    scores = _row_scores(S @ M)
+    best = np.argmax(scores)
     s = S[best].copy()
     r = s @ M
-    if pos[best] >= neg[best]:
+    if np.clip(r, 0.0, None).sum() >= np.clip(-r, 0.0, None).sum():
         t = (r > 0).astype(float)
-        val = pos[best]
     else:
         t = (r < 0).astype(float)
-        val = neg[best]
-    return float(val), s, t
+    return float(scores[best]), s, t
 
 
 def _cut_norm_heuristic(M: np.ndarray, rng: np.random.Generator):
@@ -365,10 +386,26 @@ def _align_equal_parts(W1: StepKernel, W2: StepKernel):
 
 
 def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
-    """min over part permutations sigma of ||W1 - W2^sigma||_box.
+    """min over part permutations sigma of ||W1 - W2^sigma||_box, exact for
+    k <= MAX_EXACT_CUTDIST.
 
-    Enumerates all k! permutations (k <= MAX_EXACT_CUTDIST) and returns the
-    first minimiser in itertools.permutations order.
+    The k! relabelled differences are scored as stacks of at most
+    CUTDIST_BLOCK (permutation, indicator row) pairs, with the indicator rows
+    taken largest subsets first, and pruned:
+
+    - every permutation is scored on a first tile of CUTDIST_TILE rows, which
+      bounds its cut norm from below;
+    - the CUTDIST_INCUMBENTS permutations with the smallest bounds are scored
+      on the full table, and their minimum U bounds the distance from above;
+    - the survivors, whose bound is at most U * (1 + CUTDIST_MARGIN), get the
+      full-table product _cut_norm_exact uses, and its rows are scored in
+      tiles that double in size; a permutation is dropped as soon as one
+      tile scores above U * (1 + CUTDIST_MARGIN).
+
+    A permutation that is never dropped has scored every row of that product,
+    so its score is bit-identical to cut_norm(W1 - W2^sigma).  The value is
+    the least such score, and the permutation the first minimiser in
+    itertools.permutations order, ties included.
     """
     a, b = _align_equal_parts(W1, W2)
     k = a.k
@@ -377,13 +414,50 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
             f"exact cut distance limited to k <= {MAX_EXACT_CUTDIST}, got {k}"
         )
     mu2 = np.outer(a.partition.part_measures, a.partition.part_measures)
-    best_val, best_perm = math.inf, None
-    for perm in itertools.permutations(range(k)):
-        diff = (a.values - b.values[np.ix_(perm, perm)]) * mu2
-        v = _cut_norm_exact(diff)[0]
-        if v < best_val:
-            best_val, best_perm = v, perm
-    return CutDistance(best_val, True, best_perm)
+    A, B = a.values, b.values
+    P = _permutation_table(k)
+    S = _indicator_table(k)
+    # rows by decreasing subset size: the large subsets carry the difference
+    # of the total masses, so they bound most permutations on the first tile
+    order = np.argsort(-S.sum(axis=1), kind="stable")
+    edges = ([0] + [CUTDIST_TILE << j for j in range(k)
+                    if CUTDIST_TILE << j < len(S)] + [len(S)])
+
+    def diffs(perms):
+        p = P[perms]
+        return (A - B[p[:, :, None], p[:, None, :]]) * mu2
+
+    def full_scores(perms, cut):
+        """Exact cut norm of each permuted difference, scored tile by tile
+        on the full-table product; a permutation is left with a partial
+        score above cut as soon as one tile exceeds cut."""
+        out = np.full(len(perms), -np.inf)
+        step = max(1, CUTDIST_BLOCK // len(S))
+        for i in range(0, len(perms), step):
+            R = S @ diffs(perms[i:i + step])
+            best = out[i:i + step]
+            live = np.arange(len(R))
+            for lo, hi in zip(edges, edges[1:]):
+                tile = R[live[:, None], order[lo:hi]]
+                best[live] = np.maximum(best[live],
+                                        _row_scores(tile).max(axis=-1))
+                live = live[best[live] <= cut]
+                if not live.size:
+                    break
+        return out
+
+    first = S[order[:CUTDIST_TILE]]
+    step = CUTDIST_BLOCK // max(CUTDIST_TILE, k)
+    bound = np.concatenate([
+        _row_scores(first @ diffs(slice(i, i + step))).max(axis=-1)
+        for i in range(0, len(P), step)])
+    few = np.argsort(bound, kind="stable")[:CUTDIST_INCUMBENTS]
+    cut = full_scores(few, np.inf).min() * (1.0 + CUTDIST_MARGIN)
+    alive = np.flatnonzero(bound <= cut)
+    full = full_scores(alive, cut)
+    best = int(np.argmin(full))
+    return CutDistance(float(full[best]), True,
+                       tuple(int(i) for i in P[alive[best]]))
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,16 @@ class EntryLaw:
                 raise ValueError(f"law {name} value {a[bad[0]]} is not finite")
         if np.any(p <= 0):
             raise ValueError("probabilities must be positive")
+        # one representation per law: the support sorted, and repeated points
+        # (-0.0 and 0.0 included) merged into one atom with their summed mass
+        v, inverse = np.unique(v, return_inverse=True)
+        p = np.bincount(inverse, weights=p, minlength=v.size)
         if abs(p.sum() - 1.0) > _TOL:
             raise ValueError("probabilities must sum to 1")
         if abs(float(p @ v)) > _TOL:
             raise ValueError("law must have zero mean")
         if abs(float(p @ v ** 2) - 1.0) > _TOL:
             raise ValueError("law must have unit variance")
-        order = np.argsort(v)
-        v, p = v[order], p[order]
         v.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "support", v)
@@ -192,19 +194,26 @@ def _invert_L_prime(law: EntryLaw, u: float) -> float:
 def legendre_h_L(law: EntryLaw, u: float) -> float:
     """Convex conjugate h_L(u) = sup_theta {theta u - L(theta)}.
 
-    +inf for u < 0, exactly 1 at u = 0, and 0 only at u = 1.
+    +inf for u < 0, exactly 1 at u = 0, and 0 only at u = 1.  Never
+    negative: theta = 0 gives 0, so a negative theta u - L(theta), which
+    rounding yields near u = 1, reads 0.
     """
     if u < 0:
         return math.inf
     if u == 0:
         return 1.0
     theta = h_L_prime(law, u)
-    return theta * u - cgf_L(law, theta)
+    return max(0.0, theta * u - cgf_L(law, theta))
 
 
 def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
     """H(W) = 1/2 * integral of h_L over the kernel."""
     mu = W.partition.part_measures
+    if W.partition.is_equal_measure():
+        # the boundary differences of k equal parts can differ in the last
+        # bit (k = 3, 5, 6, 7); one common 1/k keeps H exactly invariant
+        # under part relabelling
+        mu = np.full(W.k, 1.0 / W.k)
     vals = np.unique(W.values)
     table = {v: legendre_h_L(law, float(v)) for v in vals}
     h = np.vectorize(lambda v: table[v])(W.values)

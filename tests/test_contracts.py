@@ -34,6 +34,17 @@ def test_contract_values():
     assert suites.K_ALPHA_ROUNDTRIP_TOL == 1e-9
 
 
+def test_cut_distance_sizes():
+    # exact cut distance: the largest k, the stacked block, the pruning tile,
+    # the incumbents and the pruning margin, with no option to change them
+    assert kernels.MAX_EXACT_CUTDIST == 8
+    assert kernels.CUTDIST_BLOCK == 8192
+    assert kernels.CUTDIST_TILE == 4
+    assert kernels.CUTDIST_INCUMBENTS == 16
+    assert kernels.CUTDIST_MARGIN == 1e-9
+    assert list(inspect.signature(kernels.cut_distance).parameters) == ["W1", "W2"]
+
+
 @pytest.mark.parametrize("fn", [qve.solve_qve, qve.stability_check,
                                 measures.hw_check, measures.interlacing_check,
                                 measures.metric_inequality_check,

@@ -3,10 +3,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvelab import kernels
 from qvelab.errors import AsymmetricInput, ExactTooLarge, PartMeasureMismatch
@@ -197,6 +201,42 @@ class TestStepAverage:
                     <= kernels.l1_norm(W) + 1e-12)
 
 
+def _reference_cut_distance(W1, W2):
+    """The k! loop cut_distance once ran: one exact cut norm per permutation
+    in itertools.permutations order, the first strict minimum wins."""
+    a, b = kernels._align_equal_parts(W1, W2)
+    mu2 = np.outer(a.partition.part_measures, a.partition.part_measures)
+    best_val, best_perm = math.inf, None
+    for perm in itertools.permutations(range(a.k)):
+        diff = (a.values - b.values[np.ix_(perm, perm)]) * mu2
+        v = kernels._cut_norm_exact(diff)[0]
+        if v < best_val:
+            best_val, best_perm = v, perm
+    return best_val, best_perm
+
+
+def assert_matches_reference(W1, W2):
+    d = kernels.cut_distance(W1, W2)
+    value, perm = _reference_cut_distance(W1, W2)
+    assert d.exact
+    assert d.value == value
+    assert d.permutation == perm
+
+
+@st.composite
+def kernel_pairs(draw, max_k):
+    """Two k-part kernels with values in [0, 4]; a few repeated round values
+    (zero included) make exact ties between permutations likely."""
+    k = draw(st.integers(1, max_k))
+    entries = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                        st.floats(0.0, 4.0))
+    pair = []
+    for _ in range(2):
+        v = draw(arrays(float, (k, k), elements=entries))
+        pair.append(StepKernel(Partition.equal(k), np.triu(v) + np.triu(v, 1).T))
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # cut_norm
 
@@ -333,6 +373,55 @@ class TestCutDistance:
             assert d.exact
             assert abs(d.value - best_val) <= 1e-12
             assert tuple(d.permutation) == best_perm
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_pairs(max_k=6))
+    def test_bit_identical_to_reference_loop(self, pair):
+        assert_matches_reference(*pair)
+
+    def test_bit_identical_to_reference_loop_k7(self):
+        rng = np.random.default_rng(15)
+        for _ in range(2):
+            assert_matches_reference(random_kernel(rng, 7), random_kernel(rng, 7))
+
+    @pytest.mark.parametrize("k", [2, 5, 7])
+    def test_ties_keep_the_first_permutation(self, k):
+        # constant kernels: every permutation ties, the identity wins
+        one, three = StepKernel.constant(1.0, k), StepKernel.constant(3.0, k)
+        assert kernels.cut_distance(one, three).permutation == tuple(range(k))
+        assert_matches_reference(one, three)
+        rng = np.random.default_rng(16 + k)
+        A = random_kernel(rng, k)
+        # relabelled pair: distance 0, possibly at several permutations
+        assert_matches_reference(A, kernels.relabel(A, rng.permutation(k)))
+        # floor pair: |sum of D| is the same for every permutation and
+        # dominates, so every permutation ties up to rounding
+        assert_matches_reference(A, StepKernel(A.partition, A.values + 2.0))
+        # repeated parts: swapping two equal parts ties exactly
+        v = rng.uniform(0.0, 4.0, (k, k))
+        v = np.triu(v) + np.triu(v, 1).T
+        v[:, 1] = v[:, 0]
+        v[1, :] = v[0, :]
+        assert_matches_reference(StepKernel(A.partition, v), A)
+
+    def test_temporaries_stay_bounded(self):
+        rng = np.random.default_rng(17)
+        A, B = random_kernel(rng, 8), random_kernel(rng, 8)
+        kernels.cut_distance(A, A)      # fills the permutation table cache
+        tracemalloc.start()
+        try:
+            kernels.cut_distance(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_permutation_table_shared_read_only(self):
+        table = kernels._permutation_table(4)
+        assert kernels._permutation_table(4) is table
+        assert not table.flags.writeable
+        assert [tuple(row) for row in table] == list(
+            itertools.permutations(range(4)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from qvelab import kernels, rates
@@ -49,6 +52,20 @@ class TestEntryLaw:
         signed_zero = EntryLaw([-s, -0.0, s], [0.25, 0.5, 0.25])
         assert signed_zero == SPREAD_LAW and hash(signed_zero) == hash(SPREAD_LAW)
         assert SPREAD_LAW != EntryLaw.rademacher()
+
+    def test_repeated_points_merge(self):
+        # [TRIVIAL] one law, three representations
+        split = EntryLaw([-1.0, 1.0, 1.0], [0.5, 0.2, 0.3])
+        swapped = EntryLaw([-1.0, 1.0, 1.0], [0.5, 0.3, 0.2])
+        law = EntryLaw.rademacher()
+        assert split == swapped == law
+        assert hash(split) == hash(swapped) == hash(law)
+        assert np.array_equal(split.support, [-1.0, 1.0])
+        assert (rates.legendre_h_L(split, 2.0) == rates.legendre_h_L(swapped, 2.0)
+                == rates.legendre_h_L(law, 2.0))
+        s = math.sqrt(2.0)
+        zeros = EntryLaw([-s, -0.0, 0.0, s], [0.25, 0.3, 0.2, 0.25])
+        assert zeros == SPREAD_LAW and hash(zeros) == hash(SPREAD_LAW)
 
     def test_json_round_trip(self):
         law = SPREAD_LAW
@@ -223,6 +240,46 @@ class TestKernelEntropy:
             sigma = list(rng.permutation(4))
             assert (rates.kernel_entropy(law, W)
                     == rates.kernel_entropy(law, kernels.relabel(W, sigma)))
+
+
+@st.composite
+def finite_laws(draw):
+    """A law on 2..5 points: random points and masses, standardised to mean 0
+    and variance 1."""
+    n = draw(st.integers(2, 5))
+    v = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    p = p / p.sum()
+    mean = p @ v
+    sd = math.sqrt(p @ (v - mean) ** 2)
+    assume(sd > 0.1)
+    return EntryLaw((v - mean) / sd, p)
+
+
+@st.composite
+def equal_part_kernels(draw):
+    k = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    v = draw(arrays(float, (k, k), elements=entries))
+    return StepKernel(Partition.equal(k), np.triu(v) + np.triu(v, 1).T)
+
+
+class TestKernelEntropyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(finite_laws(), equal_part_kernels(), st.randoms(use_true_random=False))
+    def test_relabel_invariant_and_nonnegative(self, law, W, random):
+        # [PAPER] H is a function of the kernel up to relabelling, and h_L >= 0
+        sigma = list(range(W.k))
+        random.shuffle(sigma)
+        H = rates.kernel_entropy(law, W)
+        assert rates.kernel_entropy(law, kernels.relabel(W, sigma)) == H
+        assert H >= 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(finite_laws(), st.integers(1, 6))
+    def test_vanishes_at_one(self, law, k):
+        # [PAPER] h_L(1) = 0, so H(W) = 0 for W = 1
+        assert abs(rates.kernel_entropy(law, StepKernel.constant(1.0, k))) <= 1e-12
 
 
 class TestErRateH:
