@@ -122,6 +122,11 @@ class StepKernel:
         k = partition.k
         if v.shape != (k, k):
             raise ValueError(f"values must be {k}x{k}, got {v.shape}")
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"kernel value {float(v[at])!r} at {at} "
+                             "is not finite")
         if not np.array_equal(v, v.T):
             raise AsymmetricInput("kernel values must be symmetric")
         if not signed and np.any(v < 0):
@@ -463,14 +468,12 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
 # ---------------------------------------------------------------------------
 # upper regularity
 
-REGULARITY_CONTIGUOUS_CAP = 5000    # interval partitions tested for n > 8 parts
-REGULARITY_RANDOM_PARTITIONS = 100  # random partitions tested for n > 8 parts
+MAX_EXACT_REGULARITY = 8  # Bell(8) = 4140 groupings of 8 parts
 
 
 @dataclass
 class RegularityReport:
     passed: bool
-    partial: bool
     tested_partitions: int
     violation: tuple | None  # (eps, grouping, mass) of the first violation
 
@@ -487,37 +490,6 @@ def _set_partitions(n: int):
         yield rest + [[elem]]
 
 
-def _contiguous_partitions(n: int, min_size: int, cap: int):
-    """Interval partitions of range(n) with all parts >= min_size."""
-    out = []
-
-    def rec(start, acc):
-        if len(out) >= cap:
-            return
-        if start == n:
-            out.append([list(range(a, b)) for a, b in acc])
-            return
-        for size in range(min_size, n - start + 1):
-            if n - (start + size) not in (0, *range(min_size, n + 1)):
-                continue
-            rec(start + size, acc + [(start, start + size)])
-
-    rec(0, [])
-    return out
-
-
-def _random_partition(n: int, min_size: int, rng: np.random.Generator):
-    max_parts = max(1, n // min_size)
-    for _ in range(200):
-        kk = int(rng.integers(1, max_parts + 1))
-        labels = rng.integers(0, kk, size=n)
-        groups = [list(np.nonzero(labels == g)[0]) for g in range(kk)]
-        groups = [g for g in groups if g]
-        if all(len(g) >= min_size for g in groups):
-            return groups
-    return [list(range(n))]
-
-
 def _group_average(W: StepKernel, groups):
     """Measure-weighted averages of W over each pair of groups of its parts,
     with the groups' measures."""
@@ -532,34 +504,23 @@ def _group_average(W: StepKernel, groups):
     return block, sizes
 
 
-def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
-                           seed: int = 0) -> RegularityReport:
-    """Test the upper-regularity mass condition over a family of partitions.
+def upper_regularity_check(W: StepKernel, eta: float, K,
+                           eps_list) -> RegularityReport:
+    """Test the upper-regularity mass condition over every partition.
 
-    For each candidate partition P (parts of measure >= eta) and eps, checks
-    that the mass of the P-stepped kernel above K(eps) is at most eps.  The
-    family is exhaustive only for n <= 8 parts; otherwise it is the first
-    REGULARITY_CONTIGUOUS_CAP interval partitions and
-    REGULARITY_RANDOM_PARTITIONS random ones, and the report is flagged
-    partial.
+    For each grouping P of the parts (groups of measure >= eta) and each eps,
+    checks that the mass of the P-stepped kernel above K[eps] is at most eps.
+    The family is exhaustive, so W may have at most MAX_EXACT_REGULARITY parts.
     """
     if not W.partition.is_equal_measure():
         raise PartMeasureMismatch("upper regularity check expects equal parts")
     n = W.k
+    if n > MAX_EXACT_REGULARITY:
+        raise ExactTooLarge(f"upper regularity check limited to "
+                            f"k <= {MAX_EXACT_REGULARITY}, got {n}")
     min_size = max(1, math.ceil(eta * n - 1e-12))
-    kfun = K if callable(K) else (lambda e, table=dict(K): table[e])
-
-    if n <= 8:
-        candidates = [p for p in _set_partitions(n)
-                      if all(len(g) >= min_size for g in p)]
-        partial = False
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = _contiguous_partitions(n, min_size,
-                                            REGULARITY_CONTIGUOUS_CAP)
-        candidates += [_random_partition(n, min_size, rng)
-                       for _ in range(REGULARITY_RANDOM_PARTITIONS)]
-        partial = True
+    candidates = [p for p in _set_partitions(n)
+                  if all(len(g) >= min_size for g in p)]
 
     tested = 0
     for groups in candidates:
@@ -567,11 +528,11 @@ def upper_regularity_check(W: StepKernel, eta: float, K, eps_list,
         wt = np.outer(sizes, sizes)
         tested += 1
         for eps in eps_list:
-            mass = float((block * wt)[block > kfun(eps)].sum())
+            mass = float((block * wt)[block > K[eps]].sum())
             if mass > eps + _TOL:
-                return RegularityReport(False, partial, tested,
+                return RegularityReport(False, tested,
                                         (eps, [list(g) for g in groups], mass))
-    return RegularityReport(True, partial, tested, None)
+    return RegularityReport(True, tested, None)
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +554,14 @@ def kernel_to_json(W: StepKernel) -> str:
 
 def kernel_from_json(text: str) -> StepKernel:
     """Kernel from {"boundaries": [...], "values": [[...]]}; ValueError naming
-    the first missing key or the first value that is not finite."""
+    the first missing key (StepKernel names a value that is not finite)."""
     data = json.loads(text)
     for key in ("boundaries", "values"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"kernel JSON has no {key!r} key")
     bounds = [Fraction(b) if isinstance(b, str) else float(b)
               for b in data["boundaries"]]
-    values = np.array(data["values"], dtype=float)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        at = tuple(bad[0].tolist())
-        raise ValueError(f"kernel JSON value {float(values[at])!r} at {at} "
-                         "is not finite")
-    return StepKernel(Partition(bounds), values)
+    return StepKernel(Partition(bounds), data["values"])
 
 
 def save_kernel(W: StepKernel, path):

@@ -6,7 +6,8 @@ no symmetry quotient -- exactly Catalan(k) of them.  Summing tree densities
 of a kernel gives the even moments of its QVE measure; odd moments vanish.
 
 That sum is the paper's combinatorial formula and stays here as the oracle
-for the moments and for the counting and degree-bound checks.  The moments
+for the moments and for the counting and degree-bound checks; a density is
+one stack pass over the Dyck word, edge t being its t-th '1'.  The moments
 themselves come from the vector Catalan recursion, which expanding
 -1/m = z + S m in 1/z gives with S = V diag(lambda):
 
@@ -82,13 +83,6 @@ class RootedPlanarTree:
                 stack.pop()
         return parent
 
-    def children(self) -> list:
-        ch = [[] for _ in range(self.n_vertices)]
-        for v, p in enumerate(self.parents()):
-            if p >= 0:
-                ch[p].append(v)
-        return ch
-
     def edges(self) -> list:
         """Edges (parent, child) in DFS order; edge t is the t-th '1'."""
         return [(p, v) for v, p in enumerate(self.parents()) if p >= 0]
@@ -112,72 +106,61 @@ def enumerate_trees(k: int) -> list:
             rec(prefix + [1], opens + 1, closes)
 
     rec([], 0, 0)
-    words.sort()
     return [RootedPlanarTree(w) for w in words]
 
 
 def _edge_kernels(tree: RootedPlanarTree, w):
-    """Normalize decoration: one kernel per edge, all sharing a partition."""
-    e = tree.n_edges
+    """Normalize a decoration to (one kernel per edge, part measures).
+
+    A StepKernel decorates every edge with its own partition's measures; a
+    list holds one kernel per edge, all sharing a partition.  The root-only
+    tree with a list decoration gets the one-part measure [1].
+    """
     if isinstance(w, StepKernel):
-        kernels = [w] * e
-    else:
-        kernels = list(w)
-        if len(kernels) != e:
-            raise PartitionMismatch(
-                f"need {e} edge kernels, got {len(kernels)}"
-            )
-    if e > 0:
-        part = kernels[0].partition
-        if any(kk.partition != part for kk in kernels):
-            raise PartitionMismatch("edge kernels must share a partition")
-    return kernels
+        return [w] * tree.n_edges, w.partition.part_measures
+    kernels = list(w)
+    if len(kernels) != tree.n_edges:
+        raise PartitionMismatch(f"need {tree.n_edges} edge kernels, "
+                                f"got {len(kernels)}")
+    if not kernels:
+        return kernels, np.ones(1)
+    part = kernels[0].partition
+    if any(kk.partition != part for kk in kernels):
+        raise PartitionMismatch("edge kernels must share a partition")
+    return kernels, part.part_measures
 
 
 def rooted_density_vector(tree: RootedPlanarTree, w) -> np.ndarray:
-    """Per-part vector of rooted homomorphism densities, by bottom-up DP.
+    """Per-part vector of rooted homomorphism densities, in one stack pass
+    over the Dyck word.
 
-    The message of a child is contracted through its edge's value matrix with
-    part-measure weights; the root-only tree gives the all-ones vector.
+    A '1' opens a vertex with the all-ones message and the next edge kernel;
+    a '0' closes it and multiplies its parent's message by (V_e * mu) @ f, f
+    its own message.  Children close in DFS order, as the products need.
     """
-    kernels = _edge_kernels(tree, w)
-    if tree.n_edges == 0:
-        if isinstance(w, StepKernel):
-            return np.ones(w.k)
-        return np.ones(1)
-    part = kernels[0].partition
-    mu = part.part_measures
-    children = tree.children()
-    parents = tree.parents()
-    # edge index for each non-root vertex: position of its '1' in DFS order
-    edge_of = {v: t for t, (_, v) in enumerate(tree.edges())}
-
-    def message(v):
-        f = np.ones(part.k)
-        for c in children[v]:
-            V = kernels[edge_of[c]].values
-            f = f * ((V * mu[None, :]) @ message(c))
-        return f
-
-    return message(0)
+    kernels, mu = _edge_kernels(tree, w)
+    edge_kernels = iter(kernels)    # edge t is the t-th '1'
+    stack = [(None, np.ones(len(mu)))]     # (edge kernel, message) per open vertex
+    for b in tree.word:
+        if b:
+            stack.append((next(edge_kernels), np.ones(len(mu))))
+        else:
+            kk, f = stack.pop()
+            parent = stack[-1][1]
+            parent *= (kk.values * mu[None, :]) @ f
+    return stack[0][1]
 
 
 def rooted_hom_density(tree: RootedPlanarTree, W, part: int) -> float:
     """Rooted density with the root pinned in the given part (t = 1 for the
     single-vertex tree)."""
-    vec = rooted_density_vector(tree, W)
-    return float(vec[part])
+    return float(rooted_density_vector(tree, W)[part])
 
 
 def hom_density(tree: RootedPlanarTree, W) -> float:
     """Homomorphism density t(F, W), integrating the rooted density."""
-    vec = rooted_density_vector(tree, W)
-    if tree.n_edges == 0:
-        if isinstance(W, StepKernel):
-            return float(W.partition.part_measures @ vec)
-        return 1.0
-    kernels = _edge_kernels(tree, W)
-    return float(kernels[0].partition.part_measures @ vec)
+    _, mu = _edge_kernels(tree, W)
+    return float(mu @ rooted_density_vector(tree, W))
 
 
 def _even_moments(W: StepKernel, n: int) -> np.ndarray:
@@ -206,20 +189,19 @@ def qve_moment(order: int, W: StepKernel) -> float:
 
 
 def _max_sup_degree(kernels) -> float:
-    return max(float(degree_function(kk).max()) for kk in kernels)
+    """Largest sup-degree over the edge kernels; 0 when there are none."""
+    return max((float(degree_function(kk).max()) for kk in kernels), default=0.0)
 
 
 def counting_lemma_check(tree: RootedPlanarTree, w, w_prime) -> CheckReport:
     """Counting bound for decorated trees, up to COUNTING_SLACK:
     |t(F,w) - t(F,w')| <= M^(e-1) * sum_e ||W_e - W'_e||_box."""
-    kernels = _edge_kernels(tree, w)
-    kernels_p = _edge_kernels(tree, w_prime)
-    if kernels and kernels_p and kernels[0].partition != kernels_p[0].partition:
+    kernels, _ = _edge_kernels(tree, w)
+    kernels_p, _ = _edge_kernels(tree, w_prime)
+    if kernels and kernels[0].partition != kernels_p[0].partition:
         raise PartitionMismatch("decorations must share a partition")
-    lhs = abs(hom_density(tree, kernels or w) - hom_density(tree, kernels_p or w_prime))
+    lhs = abs(hom_density(tree, w) - hom_density(tree, w_prime))
     e = tree.n_edges
-    if e == 0:
-        return CheckReport(lhs, 0.0, lhs <= COUNTING_SLACK, {"edges": 0})
     M = max(_max_sup_degree(kernels), _max_sup_degree(kernels_p))
     total = sum(cut_norm(a.sub(b)).value for a, b in zip(kernels, kernels_p))
     rhs = (M ** (e - 1) if e > 1 else 1.0) * total
@@ -229,10 +211,8 @@ def counting_lemma_check(tree: RootedPlanarTree, w, w_prime) -> CheckReport:
 def degree_bound_check(tree: RootedPlanarTree, w, part: int = 0) -> CheckReport:
     """Rooted densities are bounded by the max sup-degree to the edge count,
     up to DEGREE_SLACK."""
-    if tree.n_edges == 0:
-        return CheckReport(1.0, 1.0, True, {"edges": 0})
-    kernels = _edge_kernels(tree, w)
-    lhs = rooted_hom_density(tree, kernels, part)
+    kernels, _ = _edge_kernels(tree, w)
+    lhs = rooted_hom_density(tree, w, part)
     rhs = _max_sup_degree(kernels) ** tree.n_edges
     return CheckReport(lhs, rhs, lhs <= rhs + DEGREE_SLACK, {"edges": tree.n_edges})
 

@@ -15,7 +15,7 @@ import pytest
 from qvelab import ensembles, kernels, measures, qve, rates, suites, trees
 
 LIBRARY_MODULES = (kernels, measures, qve, rates, trees, ensembles, suites)
-DEFAULTED_PARAMETERS = 42
+DEFAULTED_PARAMETERS = 41
 
 
 def test_contract_values():
@@ -43,6 +43,14 @@ def test_cut_distance_sizes():
     assert kernels.CUTDIST_INCUMBENTS == 16
     assert kernels.CUTDIST_MARGIN == 1e-9
     assert list(inspect.signature(kernels.cut_distance).parameters) == ["W1", "W2"]
+
+
+def test_upper_regularity_size():
+    # the exhaustive upper-regularity check: the largest part count, and no
+    # option to sample past it
+    assert kernels.MAX_EXACT_REGULARITY == 8
+    assert list(inspect.signature(kernels.upper_regularity_check).parameters) == [
+        "W", "eta", "K", "eps_list"]
 
 
 @pytest.mark.parametrize("fn", [qve.solve_qve, qve.stability_check,

@@ -100,6 +100,15 @@ class TestStepKernel:
         with pytest.raises(ValueError):
             StepKernel(Partition.equal(2), [[0.0, -1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad, name", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_non_finite_value_named(self, bad, name):
+        # named as a non-finite value, before the symmetry check can call a
+        # NaN asymmetric
+        with pytest.raises(ValueError,
+                           match=rf"kernel value {name} at \(0, 1\) is not finite"):
+            StepKernel(Partition.equal(3), [[1.0, bad, 0.0], [bad, 0.0, 0.0],
+                                            [0.0, 0.0, 1.0]])
+
     def test_signed_allows_negative(self):
         W = StepKernel(Partition.equal(2), [[0.5, -0.5], [-0.5, 0.5]],
                        signed=True)
@@ -511,7 +520,7 @@ class TestUpperRegularity:
         # [TRIVIAL] indicator always zero
         W = StepKernel.constant(1.0, 4)
         rep = kernels.upper_regularity_check(W, 0.25, {0.1: 2.0}, [0.1])
-        assert rep.passed and not rep.partial
+        assert rep.passed
 
     def test_zero_passes(self):
         # [TRIVIAL]
@@ -528,10 +537,11 @@ class TestUpperRegularity:
         assert not rep.passed
         assert rep.violation is not None
 
-    def test_partial_flag_for_large_n(self):
+    def test_too_many_parts(self):
+        # the check is exhaustive over set partitions, so it stops at 8 parts
         W = StepKernel.constant(1.0, 12)
-        rep = kernels.upper_regularity_check(W, 1.0 / 12.0, {0.1: 2.0}, [0.1])
-        assert rep.passed and rep.partial
+        with pytest.raises(ExactTooLarge):
+            kernels.upper_regularity_check(W, 1.0 / 12.0, {0.1: 2.0}, [0.1])
 
 
 # ---------------------------------------------------------------------------

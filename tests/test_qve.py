@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
-from qvelab import kernels, qve
+from qvelab import kernels, qve, trees
 from qvelab.errors import GridTooNarrow, NotConverged, PreconditionViolated
 from qvelab.kernels import Partition, StepKernel
 
@@ -340,6 +340,26 @@ class TestQveMeasure:
         else:
             got = qve.qve_measure(W, grid).density
             assert np.abs(got - want).max() <= 1e-11 * max(1.0, want.max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(vals=kernel_values())
+    def test_moments_match_recursion(self, vals):
+        # [PAPER] the inverted measure's moments are the tree sums, which the
+        # vector Catalan recursion computes.  The bound is criterion 3's 1e-3,
+        # relative above 1 as M_6 reaches a few hundred, plus the rescaling
+        # the inversion may make: it keeps MIN_CAPTURED_MASS of the mass and
+        # renormalizes, so a spike at 0 that the default grid (spacing above
+        # eta) under-resolves lifts every moment by up to 1/MIN_CAPTURED_MASS.
+        # A zero row puts an atom at 0, which the inversion refuses
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        try:
+            mu = qve.qve_measure(W)
+        except GridTooNarrow:
+            return
+        rescale = 1.0 / qve.MIN_CAPTURED_MASS - 1.0
+        for order, want in trees.moments_table(W, 6):
+            assert (abs(mu.moment(order) - want)
+                    <= 1e-3 * max(1.0, want) + rescale * want)
 
     def test_interpolated_start_is_used(self, continuation_sizes):
         # only the coarse points walk the continuation on a smooth density

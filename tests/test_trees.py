@@ -18,20 +18,21 @@ def random_kernel(rng, k, hi=4.0):
     return StepKernel(Partition.equal(k), vals)
 
 
-def brute_force_hom_density(tree, W):
-    """Independent oracle: explicit sum over all part assignments."""
-    k = W.k
-    mu = W.partition.part_measures
-    V = W.values
-    edges = tree.edges()
+def brute_force_hom_density(tree, w):
+    """Independent oracle: explicit sum over all part assignments.  w is one
+    kernel for every edge or a list of one kernel per edge, edge t being
+    tree.edges()[t]."""
+    edge_kernels = [w] * tree.n_edges if isinstance(w, StepKernel) else w
+    part = (w if isinstance(w, StepKernel) else w[0]).partition
+    mu = part.part_measures
     n = tree.n_vertices
     total = 0.0
-    for assign in np.ndindex(*([k] * n)):
+    for assign in np.ndindex(*([part.k] * n)):
         term = 1.0
         for v in range(n):
             term *= mu[assign[v]]
-        for a, b in edges:
-            term *= V[assign[a], assign[b]]
+        for W, (a, b) in zip(edge_kernels, tree.edges()):
+            term *= W.values[assign[a], assign[b]]
         total += term
     return total
 
@@ -51,6 +52,23 @@ def kernel_values(draw):
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
     vals = draw(arrays(float, (k, k), elements=entry))
     return np.triu(vals) + np.triu(vals, 1).T
+
+
+@st.composite
+def decorated_trees(draw):
+    """A tree with 1..4 edges and an independent kernel per edge: entries 0 or
+    in [1e-3, 4], on 1..3 equal parts or on the parts (0, 0.1], (0.1, 0.45],
+    (0.45, 1]."""
+    pool = trees.enumerate_trees(draw(st.integers(1, 4)))
+    tree = draw(st.sampled_from(pool))
+    part = draw(st.sampled_from([Partition.equal(1), Partition.equal(2),
+                                 Partition.equal(3), Partition([0.1, 0.45, 1.0])]))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+    w = []
+    for _ in range(tree.n_edges):
+        vals = draw(arrays(float, (part.k, part.k), elements=entry))
+        w.append(StepKernel(part, np.triu(vals) + np.triu(vals, 1).T))
+    return tree, w
 
 
 class TestRootedPlanarTree:
@@ -139,6 +157,17 @@ class TestHomDensity:
                 W = random_kernel(rng, 3)
                 assert abs(trees.hom_density(tree, W)
                            - brute_force_hom_density(tree, W)) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=decorated_trees())
+    def test_per_edge_decoration_matches_brute_force(self, case):
+        # dual-route check for per-edge kernels: stack pass vs assignment sum
+        tree, w = case
+        want = brute_force_hom_density(tree, w)
+        mu = w[0].partition.part_measures
+        assert trees.hom_density(tree, w) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert float(mu @ trees.rooted_density_vector(tree, w)) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
 
     def test_monotone_in_kernel(self):
         rng = np.random.default_rng(2)
