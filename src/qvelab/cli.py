@@ -14,6 +14,7 @@ Each ``QvelabError`` class carries its code as ``exit_code``.  ``verify
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -197,7 +198,27 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+# handlers by subcommand name, looked up on each call rather than stored in the
+# cached parser, so a handler rebound after the first call is the one that runs
+_COMMANDS = {
+    "qve-solve": cmd_qve_solve,
+    "qve-measure": cmd_qve_measure,
+    "moments": cmd_moments,
+    "rate": cmd_rate,
+    "k-alpha": cmd_k_alpha,
+    "sample": cmd_sample,
+    "tilt": cmd_tilt,
+    "spectrum": cmd_spectrum,
+    "compare": cmd_compare,
+    "cutnorm": cmd_cutnorm,
+    "verify": cmd_verify,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The static parser, built on the first call and shared after that: a
+    parse keeps its state in the namespace it returns, never in the parser."""
     p = argparse.ArgumentParser(
         prog="qvelab",
         description="Sparse Wigner / QVE numerical laboratory",
@@ -215,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", action="append", required=True,
                     help="complex point 'a+bi' (repeatable)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    sp.set_defaults(fn=cmd_qve_solve)
 
     sp = sub.add_parser("qve-measure", help="spectral measure of a kernel")
     sp.add_argument("--kernel", required=True)
@@ -223,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="xmin:xmax:npts:eta")
     sp.add_argument("--no-richardson", action="store_true")
     sp.add_argument("--out", required=True, help="CSV (x, density, cdf)")
-    sp.set_defaults(fn=cmd_qve_measure)
 
     sp = sub.add_parser("moments", help="QVE-measure moments via the vector Catalan recursion")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--max-order", type=int, default=8)
     sp.add_argument("--out", default=None, help="CSV (order, value)")
-    sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("rate", help="table of the Legendre conjugate h_L")
     law_flag(sp)
@@ -237,14 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u-max", type=float, default=10.0)
     sp.add_argument("--num", type=int, default=200)
     sp.add_argument("--out", default=None, help="CSV (u, h_L)")
-    sp.set_defaults(fn=cmd_rate)
 
     sp = sub.add_parser("k-alpha", help="upper-regularity threshold")
     law_flag(sp)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_k_alpha)
 
     sp = sub.add_parser("sample", help="sample a sparse Wigner matrix")
     law_flag(sp)
@@ -252,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
     sp.add_argument("--out", required=True, help="triplet CSV (i, j, value)")
-    sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("tilt", help="sample from the tilted ensemble")
     law_flag(sp)
@@ -261,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_tilt)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of a sample")
     law_flag(sp)
@@ -270,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="eigenvalue CSV")
-    sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("compare", help="distance between two measures")
     sp.add_argument("--a", required=True,
@@ -278,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", required=True)
     sp.add_argument("--metric", choices=["d", "ks", "w1", "w2"], default="ks")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("cutnorm", help="cut norm of a kernel or difference")
     sp.add_argument("--kernel", required=True)
@@ -286,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_cutnorm)
 
     sp = sub.add_parser("verify", help="run identity/inequality suites")
     sp.add_argument("--suite", default="all",
@@ -296,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=None,
                     help="override per-suite trial count")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_verify)
 
     return p
 
@@ -308,7 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except (QvelabError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -117,15 +117,17 @@ def cgf_L(law: EntryLaw, theta: float) -> float:
 
 @np.errstate(over="ignore")
 def cgf_L_prime(law: EntryLaw, theta: float) -> float:
-    return _L_derivative(law, theta, 1)
+    return float(_L_derivative(law, theta, 1))
 
 
-def _L_derivative(law: EntryLaw, theta: float, order: int) -> float:
+def _L_derivative(law: EntryLaw, theta, order: int):
     """The order-th derivative E A^(2 order) exp(theta A^2) of L, order >= 1,
-    with overflow left to the caller."""
+    with overflow left to the caller: a scalar at a float theta, one value per
+    row at a column theta of shape (m, 1).  (A column broadcasts; the scalar
+    path would pay np.multiply.outer's extra half microsecond per call.)"""
     v2 = law._squares
     weight = v2 if order == 1 else v2 ** order
-    return float(law.probs @ (weight * np.exp(theta * v2)))
+    return (weight * np.exp(theta * v2)) @ law.probs
 
 
 def h_L_prime(law: EntryLaw, u: float) -> float:
@@ -145,50 +147,94 @@ def h_L_prime(law: EntryLaw, u: float) -> float:
     return theta
 
 
+# Both inversions of L' run the same Newton iteration from theta = log(u)/R^2:
+# it stops when |L'(theta) - u| <= 1e-14 max(1, u) or the step drops below
+# 1e-16 max(1, |theta|), gives up on a step that is not finite or after 100
+# steps, and its theta is kept only if |L'(theta) - u| <= 1e-10 max(1, u).
+# Every other u goes to _bisect_L_prime.
+
+
 @np.errstate(over="ignore")
 def _invert_L_prime(law: EntryLaw, u: float) -> float:
-    R2 = law.bound ** 2
-    theta = math.log(u) / R2
-
+    theta = math.log(u) / law.bound ** 2
     converged = False
     for _ in range(100):
-        f = _L_derivative(law, theta, 1) - u
+        f = float(_L_derivative(law, theta, 1)) - u
         if abs(f) <= 1e-14 * max(1.0, u):
             converged = True
             break
-        fp = _L_derivative(law, theta, 2)
-        step = f / fp
+        step = f / float(_L_derivative(law, theta, 2))
         if not math.isfinite(step):
             break
         theta -= step
         if abs(step) <= 1e-16 * max(1.0, abs(theta)):
             converged = True
             break
-    if not converged or abs(_L_derivative(law, theta, 1) - u) > 1e-10 * max(1.0, u):
-        lo, hi = -50.0 / R2, 50.0 / R2
-        for _ in range(200):
-            if _L_derivative(law, lo, 1) < u:
-                break
-            lo *= 2.0
-        else:
-            raise NotConverged("bracket failure on the left for L' inversion")
-        for _ in range(200):
-            if _L_derivative(law, hi, 1) > u:
-                break
-            hi *= 2.0
-        else:
-            raise NotConverged("bracket failure on the right for L' inversion")
-        # L' is increasing: bisect until lo and hi are adjacent floats
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _L_derivative(law, mid, 1) < u:
-                lo = mid
-            else:
-                hi = mid
-        theta = min((lo, hi), key=lambda t: abs(_L_derivative(law, t, 1) - u))
+    if converged and abs(_L_derivative(law, theta, 1) - u) <= 1e-10 * max(1.0, u):
+        return theta
+    return _bisect_L_prime(law, u)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _invert_L_prime_array(law: EntryLaw, u: np.ndarray) -> np.ndarray:
+    """_invert_L_prime at every entry of u (finite, > 0), Newton run on all
+    entries at once."""
+    theta = np.log(u) / law.bound ** 2
+    converged = np.zeros(u.shape, dtype=bool)
+    live = np.arange(u.size)
+    for _ in range(100):
+        if live.size == 0:
+            break
+        t = theta[live]
+        f = _L_derivative(law, t[:, None], 1) - u[live]
+        done = np.abs(f) <= 1e-14 * np.maximum(1.0, u[live])
+        converged[live[done]] = True
+        live, t, f = live[~done], t[~done], f[~done]
+        step = f / _L_derivative(law, t[:, None], 2)
+        finite = np.isfinite(step)
+        live, t, step = live[finite], t[finite] - step[finite], step[finite]
+        theta[live] = t
+        small = np.abs(step) <= 1e-16 * np.maximum(1.0, np.abs(t))
+        converged[live[small]] = True
+        live = live[~small]
+    miss = ~converged | (np.abs(_L_derivative(law, theta[:, None], 1) - u)
+                         > 1e-10 * np.maximum(1.0, u))
+    for i in np.flatnonzero(miss):
+        theta[i] = _bisect_L_prime(law, float(u[i]))
     return theta
+
+
+def _bisect_L_prime(law: EntryLaw, u: float) -> float:
+    """theta with L'(theta) = u by bisection on an expanding bracket, down to
+    adjacent floats (callers silence overflow)."""
+    R2 = law.bound ** 2
+
+    def d1(t):
+        return float(_L_derivative(law, t, 1))
+
+    lo, hi = -50.0 / R2, 50.0 / R2
+    for _ in range(200):
+        if d1(lo) < u:
+            break
+        lo *= 2.0
+    else:
+        raise NotConverged("bracket failure on the left for L' inversion")
+    for _ in range(200):
+        if d1(hi) > u:
+            break
+        hi *= 2.0
+    else:
+        raise NotConverged("bracket failure on the right for L' inversion")
+    # L' is increasing: bisect until lo and hi are adjacent floats
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if d1(mid) < u:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda t: abs(d1(t) - u))
 
 
 def legendre_h_L(law: EntryLaw, u: float) -> float:
@@ -378,6 +424,19 @@ def rate_upper_bound(law: EntryLaw, target, family,
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rate_table(law: EntryLaw, u_values):
-    """(u, h_L(u)) rows for a CSV export."""
-    return [(float(u), legendre_h_L(law, float(u))) for u in u_values]
+    """(u, h_L(u)) rows for a CSV export: legendre_h_L at every u, with L'
+    inverted for all u > 0 in one array pass."""
+    u = np.asarray(u_values, dtype=float).ravel()
+    bad = np.flatnonzero(~((u <= 0) | np.isfinite(u)))
+    if bad.size:
+        raise DomainError(f"h_L' defined for finite u > 0 only, got {float(u[bad[0]])!r}")
+    h = np.where(u < 0, math.inf, 1.0)
+    pos = np.flatnonzero(u > 0)
+    theta = _invert_L_prime_array(law, u[pos])
+    L = np.exp(theta[:, None] * law._squares) @ law.probs - 1.0
+    g = theta * u[pos] - L
+    # max(0, g) as legendre_h_L takes it: a NaN g (inf - inf) reads 0 too
+    h[pos] = np.where(g > 0.0, g, 0.0)
+    return list(zip(u.tolist(), h.tolist()))

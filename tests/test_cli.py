@@ -299,6 +299,19 @@ class TestExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DomainError"
 
+    def test_rate_overflow_rows_are_inf_on_one_stderr_line(self):
+        # theta u and L(theta) overflow near the top of the float range; the
+        # rows read inf, and numpy's warnings must not reach stderr
+        proc = run_python(["-m", "qvelab.cli", "rate", "--u-min", "1e307",
+                           "--u-max", "1.7e308", "--num", "3"])
+        assert proc.returncode == 0
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "u,h_L"
+        assert [row.split(",")[1] for row in rows[1:]] == ["inf"] * 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"cmd": "rate", "num": 3}
+
     def test_eig_failure_exits_1(self, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -345,6 +358,33 @@ def test_cli_import_leaves_scipy_unloaded():
                        "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+class TestCachedParser:
+    """main reuses one parser; no parse may leak into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_append_option_starts_empty_each_call(self, const1_kernel, capsys):
+        points = []
+        for zs in (["0+2i", "1+1i"], ["0.5+3i"]):
+            argv = ["qve-solve", "--kernel", const1_kernel]
+            for z in zs:
+                argv += ["--z", z]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            points.append([complex(*row["z"]) for row in json.loads(out)])
+        assert points == [[2j, 1 + 1j], [0.5 + 3j]]
+
+    def test_option_default_restored_each_call(self, capsys):
+        trials = []
+        for extra in (["--trials", "2"], []):
+            code, out, _ = run(["verify", "--suite", "stability", *extra], capsys)
+            assert code == 0
+            trials.append(out)
+        assert trials == ["stability: 0 violations / 2 trials\n",
+                          "stability: 0 violations / 200 trials\n"]
 
 
 class TestSubcommands:

@@ -212,6 +212,30 @@ class TestHLPrimeBisection:
         assert abs(theta - oracle) <= 4 * math.ulp(oracle)
 
 
+    @pytest.mark.parametrize("law, u", [
+        (EntryLaw.rademacher(), 1.789835852676843e+111),
+        (EntryLaw([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], [1 / 6, 2 / 3, 1 / 6]),
+         1.2176469362061843e+42),
+    ])
+    def test_rate_table_falls_back_alike(self, monkeypatch, law, u):
+        # the array Newton misses these u too, and the shared bisection
+        # (the only scalar evaluations rate_table makes) decides them
+        scalar_orders = []
+        real = rates._L_derivative
+
+        def spy(law, theta, order):
+            if np.ndim(theta) == 0:
+                scalar_orders.append(order)
+            return real(law, theta, order)
+
+        monkeypatch.setattr(rates, "_L_derivative", spy)
+        [(row_u, h)] = rates.rate_table(law, [u])
+        assert scalar_orders
+        ref = rates.legendre_h_L(law, u)
+        assert row_u == u
+        assert abs(h - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 class TestKernelEntropy:
     def test_constant_one(self):
         # [PAPER] h_L(1) = 0 so H = 0
@@ -491,3 +515,29 @@ class TestRateTable:
         rows = rates.rate_table(law, [1.0, 2.0])
         assert abs(rows[0][1]) <= 1e-12
         assert abs(rows[1][1] - (2 * math.log(2.0) - 1.0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(finite_laws(), st.lists(st.one_of(st.floats(-10.0, 20.0),
+                                             st.floats(-1e300, 1e300)),
+                                   max_size=30))
+    def test_matches_legendre_h_L(self, law, drawn):
+        # one array pass over the table equals legendre_h_L u by u: inf below
+        # 0, exactly 1 at 0, 0 at 1, and h near the top of the float range
+        us = [-2.5, 0.0, 1.0, 1e300, *drawn]
+        rows = rates.rate_table(law, np.array(us))
+        assert [u for u, _ in rows] == us
+        for u, h in rows:
+            ref = rates.legendre_h_L(law, u)
+            if math.isinf(ref):
+                assert h == ref
+            else:
+                assert abs(h - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_exact_values(self):
+        rows = rates.rate_table(EntryLaw.rademacher(), [-1.0, 0.0, 1.0])
+        assert rows == [(-1.0, math.inf), (0.0, 1.0), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(DomainError, match="finite u > 0"):
+            rates.rate_table(EntryLaw.rademacher(), [1.0, u])
