@@ -68,9 +68,11 @@ class Partition:
 
     @functools.cached_property
     def part_measures(self) -> np.ndarray:
-        """Lengths of the parts, computed once and shared read-only."""
-        vals = np.array([float(b) for b in self.boundaries])
-        mu = np.diff(np.concatenate(([0.0], vals)))
+        """Lengths of the parts, computed once and shared read-only.  Each is
+        one rounding of b_i - b_{i-1}: exact for Fraction boundaries, so the
+        k parts of Partition.equal(k) all measure float(1/k)."""
+        bs = self.boundaries
+        mu = np.array([float(b - a) for a, b in zip((0, *bs), bs)])
         mu.setflags(write=False)
         return mu
 

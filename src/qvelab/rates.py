@@ -255,11 +255,6 @@ def legendre_h_L(law: EntryLaw, u: float) -> float:
 def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
     """H(W) = 1/2 * integral of h_L over the kernel."""
     mu = W.partition.part_measures
-    if W.partition.is_equal_measure():
-        # the boundary differences of k equal parts can differ in the last
-        # bit (k = 3, 5, 6, 7); one common 1/k keeps H exactly invariant
-        # under part relabelling
-        mu = np.full(W.k, 1.0 / W.k)
     vals = np.unique(W.values)
     table = {v: legendre_h_L(law, float(v)) for v in vals}
     h = np.vectorize(lambda v: table[v])(W.values)
@@ -431,7 +426,8 @@ def rate_table(law: EntryLaw, u_values):
     u = np.asarray(u_values, dtype=float).ravel()
     bad = np.flatnonzero(~((u <= 0) | np.isfinite(u)))
     if bad.size:
-        raise DomainError(f"h_L' defined for finite u > 0 only, got {float(u[bad[0]])!r}")
+        raise DomainError(
+            f"h_L' defined for finite u > 0 only, got {float(u[bad[0]])!r}")
     h = np.where(u < 0, math.inf, 1.0)
     pos = np.flatnonzero(u > 0)
     theta = _invert_L_prime_array(law, u[pos])

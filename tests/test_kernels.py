@@ -54,6 +54,15 @@ class TestPartition:
         assert p.is_equal_measure()
         assert p.is_rational
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equal_parts_measure_alike(self, k):
+        # one rounding of each exact 1/k, not differences of rounded i/k
+        assert Partition.equal(k).part_measures.tolist() == [float(Fraction(1, k))] * k
+
+    def test_float_boundaries_subtract_as_floats(self):
+        p = Partition([0.1, 0.45, 1.0])
+        assert p.part_measures.tolist() == [0.1, 0.45 - 0.1, 1.0 - 0.45]
+
     def test_measures_sum_to_one(self):
         p = Partition([0.3, 0.55, 1.0])
         assert abs(p.part_measures.sum() - 1.0) <= 1e-12
