@@ -211,7 +211,6 @@ class TestHLPrimeBisection:
             assert abs(rates.cgf_L_prime(law, t) / u - 1.0) <= 1e-12
         assert abs(theta - oracle) <= 4 * math.ulp(oracle)
 
-
     @pytest.mark.parametrize("law, u", [
         (EntryLaw.rademacher(), 1.789835852676843e+111),
         (EntryLaw([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], [1 / 6, 2 / 3, 1 / 6]),
