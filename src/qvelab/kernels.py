@@ -257,7 +257,6 @@ def l1_norm(W: StepKernel) -> float:
 
 MAX_EXACT_CUTNORM = 12
 MAX_EXACT_CUTDIST = 8
-HEURISTIC_RESTARTS = 20         # random starts of the heuristic cut norm
 CUTDIST_BLOCK = 8192            # (permutation, indicator row) pairs per product
 CUTDIST_TILE = 4                # indicator rows in the first pruning tile
 CUTDIST_INCUMBENTS = 16         # lowest-bound permutations scored for the incumbent
@@ -271,7 +270,6 @@ CUTDIST_MARGIN = 1e-9
 @dataclass
 class CutNorm:
     value: float
-    exact: bool
     s: np.ndarray
     t: np.ndarray
 
@@ -330,56 +328,20 @@ def _cut_norm_exact(M: np.ndarray):
     return float(scores[best]), s, t
 
 
-def _cut_norm_heuristic(M: np.ndarray, rng: np.random.Generator):
-    """Randomized greedy local search from HEURISTIC_RESTARTS random starts;
-    certified lower bound only."""
-    k = M.shape[0]
-    best_val, best_s, best_t = 0.0, np.zeros(k), np.zeros(k)
-    for _ in range(HEURISTIC_RESTARTS):
-        s = (rng.random(k) < 0.5).astype(float)
-        t = (rng.random(k) < 0.5).astype(float)
-        improved = True
-        while improved:
-            improved = False
-            for vec, other, left in ((s, t, True), (t, s, False)):
-                for i in range(k):
-                    cur = abs(s @ M @ t)
-                    vec[i] = 1.0 - vec[i]
-                    if abs(s @ M @ t) > cur + 1e-15:
-                        improved = True
-                    else:
-                        vec[i] = 1.0 - vec[i]
-        val = abs(s @ M @ t)
-        if val > best_val:
-            best_val, best_s, best_t = val, s.copy(), t.copy()
-    return float(best_val), best_s, best_t
-
-
-def cut_norm(W: StepKernel, mode: str = "exact", seed: int = 0) -> CutNorm:
-    """Cut norm sup_{S,T} |int_{SxT} W| of a (possibly signed) step kernel.
-
-    Exact mode enumerates part-indicator vertices (k <= 12); heuristic mode
-    returns a certified lower bound flagged non-exact.
-    """
-    M = _weighted_values(W)
-    if mode == "exact":
-        if W.k > MAX_EXACT_CUTNORM:
-            raise ExactTooLarge(
-                f"exact cut norm limited to k <= {MAX_EXACT_CUTNORM}, got {W.k}"
-            )
-        val, s, t = _cut_norm_exact(M)
-        return CutNorm(val, True, s, t)
-    if mode == "heuristic":
-        rng = np.random.default_rng(seed)
-        val, s, t = _cut_norm_heuristic(M, rng)
-        return CutNorm(val, False, s, t)
-    raise ValueError(f"unknown mode {mode!r}")
+def cut_norm(W: StepKernel) -> CutNorm:
+    """Cut norm sup_{S,T} |int_{SxT} W| of a (possibly signed) step kernel,
+    exact by enumerating part-indicator vertices (k <= MAX_EXACT_CUTNORM)."""
+    if W.k > MAX_EXACT_CUTNORM:
+        raise ExactTooLarge(
+            f"exact cut norm limited to k <= {MAX_EXACT_CUTNORM}, got {W.k}"
+        )
+    val, s, t = _cut_norm_exact(_weighted_values(W))
+    return CutNorm(val, s, t)
 
 
 @dataclass
 class CutDistance:
     value: float
-    exact: bool
     permutation: tuple
 
 
@@ -463,8 +425,7 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
     alive = np.flatnonzero(bound <= cut)
     full = full_scores(alive, cut)
     best = int(np.argmin(full))
-    return CutDistance(float(full[best]), True,
-                       tuple(int(i) for i in P[alive[best]]))
+    return CutDistance(float(full[best]), tuple(int(i) for i in P[alive[best]]))
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,11 @@ def default_grid(W: StepKernel) -> SpectralGrid:
     return SpectralGrid(-b - 1.0, b + 1.0, GRID_POINTS, GRID_ETA)
 
 
-def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
-                richardson: bool = True) -> ProbMeasure1D:
+def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1D:
     """QVE measure by Stieltjes inversion on the grid.
 
-    Density Im m(x + i eta)/pi; the optional two-point Richardson step
-    (eta, eta/2) removes the leading O(eta) smoothing bias.  The eta solve
+    Density 2 rho_(eta/2) - rho_eta with rho_eta = Im m(x + i eta)/pi: the
+    two-point Richardson step removes the leading O(eta) smoothing bias.  The eta solve
     starts coarse to fine: every COARSE_STRIDE-th grid point and the last
     are solved by continuation, and Newton on the full grid starts from their
     linear interpolation in x; the eta/2 solve starts from the eta solution.
@@ -275,10 +274,8 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None,
                    + 1j * np.interp(x, x[coarse], mc[:, i].imag)
                    for i in range(W.k)], axis=1)
     rho, m_eta = density(grid.eta, m0)
-    if richardson:
-        rho_half, _ = density(grid.eta / 2.0, m_eta)
-        rho = 2.0 * rho_half - rho
-    rho = np.clip(rho, 0.0, None)
+    rho_half, _ = density(grid.eta / 2.0, m_eta)
+    rho = np.clip(2.0 * rho_half - rho, 0.0, None)
     mass = float(_trapezoid_weights(x) @ rho)
     if mass < MIN_CAPTURED_MASS:
         # a spike of width eta (an atom) needs a spacing below eta, which no

@@ -240,14 +240,16 @@ def _bisect_L_prime(law: EntryLaw, u: float) -> float:
 def legendre_h_L(law: EntryLaw, u: float) -> float:
     """Convex conjugate h_L(u) = sup_theta {theta u - L(theta)}.
 
-    +inf for u < 0, exactly 1 at u = 0, and 0 only at u = 1.  Never
+    +inf for u < 0, 1 - P(A = 0) at u = 0, and 0 only at u = 1.  Never
     negative: theta = 0 gives 0, so a negative theta u - L(theta), which
     rounding yields near u = 1, reads 0.
     """
     if u < 0:
         return math.inf
     if u == 0:
-        return 1.0
+        # -L(theta) = 1 - E exp(theta A^2) decreases in theta, so its sup is
+        # the limit theta -> -inf, where E exp(theta A^2) -> P(A = 0)
+        return float(1.0 - law.probs[law.support == 0.0].sum())
     theta = h_L_prime(law, u)
     return max(0.0, theta * u - cgf_L(law, theta))
 
@@ -428,7 +430,7 @@ def rate_table(law: EntryLaw, u_values):
     if bad.size:
         raise DomainError(
             f"h_L' defined for finite u > 0 only, got {float(u[bad[0]])!r}")
-    h = np.where(u < 0, math.inf, 1.0)
+    h = np.where(u < 0, math.inf, legendre_h_L(law, 0.0))
     pos = np.flatnonzero(u > 0)
     theta = _invert_L_prime_array(law, u[pos])
     L = np.exp(theta[:, None] * law._squares) @ law.probs - 1.0

@@ -22,6 +22,8 @@ from .report import CheckReport
 KERNEL_VALUES = (0.0, 4.0)      # range of the random kernels' values
 MEASURE_ATOMS = 6               # atoms of each random atom measure
 RANK_KS_N = 60                  # matrix size of the rank_ks suite
+SCHUR_WARD_N_MAX = 100          # largest matrix size of the schur_ward suite
+CUT_NORM_EXACTNESS_K_MAX = 8    # most parts of a cut_norm_exactness kernel
 # slacks of the suites' own checks, constants so that no call can loosen one
 SCHUR_WARD_SCALE = 1e-9         # residual bound per unit of 1 + ||M||_1 / Im z
 RANK_KS_SLACK = 1e-12           # added to the 2r/n bound of rank_ks
@@ -71,10 +73,11 @@ def _random_tree(rng, k_edges) -> trees.RootedPlanarTree:
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def schur_ward_suite(seed=0, trials=100, n_max=100) -> SuiteResult:
-    """Schur complement and Ward identity residuals on random matrices."""
+def schur_ward_suite(seed=0, trials=100) -> SuiteResult:
+    """Schur complement and Ward identity residuals on random matrices of
+    size 3..SCHUR_WARD_N_MAX."""
     def trial(rng):
-        n = int(rng.integers(3, n_max + 1))
+        n = int(rng.integers(3, SCHUR_WARD_N_MAX + 1))
         M = rng.standard_normal((n, n))
         M = (M + M.T) / np.sqrt(2 * n)
         z = complex(rng.uniform(-1, 1), rng.uniform(1.0, 4.0))
@@ -181,10 +184,11 @@ def rank_ks_suite(seed=0, trials=200) -> SuiteResult:
     return _run("rank_ks", seed, trials, trial)
 
 
-def cut_norm_exactness_suite(seed=0, trials=100, k_max=8) -> SuiteResult:
-    """Vertex-enumeration cut norm vs independent subset-pair brute force."""
+def cut_norm_exactness_suite(seed=0, trials=100) -> SuiteResult:
+    """Vertex-enumeration cut norm vs independent subset-pair brute force,
+    k = 1..CUT_NORM_EXACTNESS_K_MAX parts."""
     def trial(rng):
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, CUT_NORM_EXACTNESS_K_MAX + 1))
         vals = rng.uniform(-2, 2, size=(k, k))
         vals = 0.5 * (vals + vals.T)
         W = kernels.StepKernel(kernels.Partition.equal(k), vals, signed=True)

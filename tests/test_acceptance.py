@@ -118,7 +118,7 @@ def test_criterion_6_tilted_deviation():
 
 def test_criterion_7_exact_identities():
     # Schur and Ward residuals <= 1e-9 on 100 random matrices up to n = 100
-    res = suites.schur_ward_suite(seed=0, trials=100, n_max=100)
+    res = suites.schur_ward_suite(seed=0, trials=100)
     report(7, res.violations == 0,
            f"Schur/Ward identities: {res.violations} violations / 100")
 
@@ -136,7 +136,7 @@ def test_criterion_8_inequality_suites():
 
 def test_criterion_9_cut_norm_exactness():
     # vertex enumeration equals subset-pair brute force on 100 kernels, k <= 8
-    res = suites.cut_norm_exactness_suite(seed=0, trials=100, k_max=8)
+    res = suites.cut_norm_exactness_suite(seed=0, trials=100)
     report(9, res.violations == 0,
            f"cut-norm exactness: {res.violations} mismatches / 100")
 

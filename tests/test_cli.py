@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import qvelab
-from qvelab import cli, ensembles, kernels, measures, qve
+from qvelab import cli, ensembles, kernels, measures
 from qvelab.kernels import Partition, StepKernel
 
 SRC = str(Path(qvelab.__file__).resolve().parents[1])
@@ -290,7 +290,9 @@ class TestExitCodes:
         assert line == {"error": "ValueError", "message": "n must be >= 1"}
 
     @pytest.mark.parametrize("bounds", [["--u-min", "1", "--u-max", "inf"],
-                                        ["--u-min", "nan", "--u-max", "5"]])
+                                        ["--u-min", "nan", "--u-max", "5"],
+                                        # finite bounds whose span overflows
+                                        ["--u-min=-1.7e308", "--u-max", "1.7e308"]])
     def test_rate_non_finite_bound_exits_2(self, bounds):
         proc = run_python(["-m", "qvelab.cli", "rate", *bounds, "--num", "3"])
         assert proc.returncode == 2
@@ -311,6 +313,17 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"cmd": "rate", "num": 3}
+
+    @pytest.mark.parametrize("cmd, extra", [("cutnorm", ["--mode", "heuristic"]),
+                                            ("cutnorm", ["--seed", "1"]),
+                                            ("qve-measure", ["--no-richardson"])])
+    def test_removed_options_exit_2(self, const1_kernel, tmp_path, cmd, extra, capsys):
+        # each subcommand runs one algorithm, with no option to pick another
+        argv = [cmd, "--kernel", const1_kernel, *extra, "--out", str(tmp_path / "o")]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "o").exists()
 
     def test_eig_failure_exits_1(self, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):
@@ -520,27 +533,6 @@ class TestDeterminism:
         first = once()
         assert first[:2] == [b"i,j,value\n", b"eigenvalue\n0.0\n"]
         assert once() == first
-
-    def test_qve_measure_no_richardson(self, tmp_path, capsys):
-        # without the Richardson step the density is the clipped, renormalised
-        # Im m(x + i eta)/pi of one solve on the grid
-        W = StepKernel(Partition.equal(2), [[1.0, 0.5], [0.5, 2.0]])
-        kpath = tmp_path / "W.json"
-        kernels.save_kernel(W, kpath)
-        plain, rich = tmp_path / "plain.csv", tmp_path / "rich.csv"
-        base = ["qve-measure", "--kernel", str(kpath), "--grid=-4:4:500:0.01"]
-        argv = [*base, "--no-richardson", "--out", str(plain)]
-        first = self._bytes_of(argv, plain, capsys)
-        assert self._bytes_of(argv, plain, capsys) == first
-        assert self._bytes_of([*base, "--out", str(rich)], rich, capsys) != first
-
-        x = np.linspace(-4.0, 4.0, 500)
-        m = qve.solve_qve(W, x + 0.01j).m_values
-        rho = np.clip((m @ W.partition.part_measures).imag / np.pi, 0.0, None)
-        rho /= trapezoid(rho, x)
-        mu = measures.load_measure_csv(plain)
-        assert np.array_equal(mu.x, x)
-        assert np.abs(mu.density - rho).max() <= 1e-12
 
     def test_qve_measure_rerun_identical(self, tmp_path, const1_kernel, capsys):
         out = tmp_path / "m.csv"

@@ -5,17 +5,19 @@ inversion captures and the slacks of the inequality checks.  This file pins
 each of them, and asserts that none of the routines that enforce them takes a
 tolerance, slack or kappa argument: loosening a contract takes an edit here.
 The count of defaulted parameters in the library modules is pinned too, so
-adding an option also takes an edit here.
+adding an option also takes an edit here, and so do the option strings of
+every CLI subcommand.
 """
 
+import argparse
 import inspect
 
 import pytest
 
-from qvelab import ensembles, kernels, measures, qve, rates, suites, trees
+from qvelab import cli, ensembles, kernels, measures, qve, rates, suites, trees
 
 LIBRARY_MODULES = (kernels, measures, qve, rates, trees, ensembles, suites)
-DEFAULTED_PARAMETERS = 41
+DEFAULTED_PARAMETERS = 36
 
 
 def test_contract_values():
@@ -43,6 +45,23 @@ def test_cut_distance_sizes():
     assert kernels.CUTDIST_INCUMBENTS == 16
     assert kernels.CUTDIST_MARGIN == 1e-9
     assert list(inspect.signature(kernels.cut_distance).parameters) == ["W1", "W2"]
+
+
+def test_one_algorithm_per_routine():
+    # the cut norm is exact only, up to MAX_EXACT_CUTNORM parts, and the
+    # inversion always takes the eta/2 Richardson step
+    assert kernels.MAX_EXACT_CUTNORM == 12
+    assert list(inspect.signature(kernels.cut_norm).parameters) == ["W"]
+    assert list(inspect.signature(qve.qve_measure).parameters) == ["W", "grid"]
+
+
+def test_suite_sizes():
+    assert suites.RANK_KS_N == 60
+    assert suites.SCHUR_WARD_N_MAX == 100
+    assert suites.CUT_NORM_EXACTNESS_K_MAX == 8
+    # every suite takes only its seed and its trial count
+    for fn in suites.ALL_SUITES.values():
+        assert list(inspect.signature(fn).parameters) == ["seed", "trials"]
 
 
 def test_upper_regularity_size():
@@ -85,3 +104,30 @@ def test_defaulted_parameter_count():
                 for fn in _library_functions()
                 for p in inspect.signature(fn).parameters.values())
     assert count == DEFAULTED_PARAMETERS
+
+
+CLI_OPTIONS = {
+    "qve-solve": ["--kernel", "--out", "--z"],
+    "qve-measure": ["--grid", "--kernel", "--out"],
+    "moments": ["--kernel", "--max-order", "--out"],
+    "rate": ["--law", "--num", "--out", "--u-max", "--u-min"],
+    "k-alpha": ["--alpha", "--eps", "--law", "--out"],
+    "sample": ["--law", "--n", "--out", "--p", "--seed"],
+    "tilt": ["--kernel", "--law", "--n", "--out", "--p", "--seed"],
+    "spectrum": ["--law", "--matrix", "--n", "--out", "--p", "--seed"],
+    "compare": ["--a", "--b", "--metric", "--out"],
+    "cutnorm": ["--kernel", "--minus", "--out"],
+    "verify": ["--out", "--seed", "--suite", "--trials"],
+}
+
+
+def test_cli_options():
+    # a new flag, like a new library option, takes an edit here
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(opt for action in sp._actions
+                        for opt in action.option_strings
+                        if opt not in ("-h", "--help"))
+           for name, sp in sub.choices.items()}
+    assert got == CLI_OPTIONS

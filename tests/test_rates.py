@@ -107,9 +107,25 @@ class TestLegendreHL:
                    - (2.0 * math.log(2.0) - 1.0)) <= 1e-12
 
     def test_u0(self):
-        # [PAPER] h_L(0) = 1
-        for law in (EntryLaw.rademacher(), SPREAD_LAW):
-            assert rates.legendre_h_L(law, 0.0) == 1.0
+        # [DERIVED] h_L(0) = sup_theta -L(theta) = 1 - P(A = 0): -L decreases
+        # in theta, and E exp(theta A^2) -> P(A = 0) as theta -> -inf.  The
+        # Rademacher law has no atom at 0, SPREAD_LAW has mass 1/2 there.
+        assert rates.legendre_h_L(EntryLaw.rademacher(), 0.0) == 1.0
+        assert rates.legendre_h_L(SPREAD_LAW, 0.0) == 0.5
+
+    @pytest.mark.parametrize("law", [
+        EntryLaw.rademacher(),
+        EntryLaw([-2.0, 0.5], [0.2, 0.8]),
+        SPREAD_LAW,
+        EntryLaw([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], [1 / 6, 2 / 3, 1 / 6]),
+        EntryLaw([-1.0, 0.0, 2.0], [1 / 3, 1 / 2, 1 / 6]),
+    ])
+    def test_u0_is_the_limit_from_above(self, law):
+        # h_L is continuous from the right at 0, with or without an atom at
+        # 0, and the rate table reads the same value at u = 0
+        h0 = rates.legendre_h_L(law, 0.0)
+        assert abs(h0 - rates.legendre_h_L(law, 1e-300)) <= 1e-12
+        assert rates.rate_table(law, [0.0]) == [(0.0, h0)]
 
     def test_negative_is_infinite(self):
         assert rates.legendre_h_L(EntryLaw.rademacher(), -0.5) == math.inf
@@ -521,7 +537,7 @@ class TestRateTable:
                                    max_size=30))
     def test_matches_legendre_h_L(self, law, drawn):
         # one array pass over the table equals legendre_h_L u by u: inf below
-        # 0, exactly 1 at 0, 0 at 1, and h near the top of the float range
+        # 0, 1 - P(A = 0) at 0, 0 at 1, and h near the top of the float range
         us = [-2.5, 0.0, 1.0, 1e300, *drawn]
         rows = rates.rate_table(law, np.array(us))
         assert [u for u, _ in rows] == us
