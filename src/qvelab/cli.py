@@ -113,7 +113,7 @@ def cmd_rate(args):
     law = _load_law(args.law)
     # a finite span needs finite bounds, and keeps linspace from overflowing
     if not math.isfinite(args.u_max - args.u_min):
-        raise DomainError("--u-min, --u-max and the span between them must be finite")
+        raise DomainError("--u-min, --u-max and their span must be finite")
     us = np.linspace(args.u_min, args.u_max, args.num)
     rows = rates.rate_table(law, us)
     text = "u,h_L\n" + "".join(f"{u!r},{h!r}\n" for u, h in rows)

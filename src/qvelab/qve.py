@@ -251,10 +251,11 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1
     """QVE measure by Stieltjes inversion on the grid.
 
     Density 2 rho_(eta/2) - rho_eta with rho_eta = Im m(x + i eta)/pi: the
-    two-point Richardson step removes the leading O(eta) smoothing bias.  The eta solve
-    starts coarse to fine: every COARSE_STRIDE-th grid point and the last
-    are solved by continuation, and Newton on the full grid starts from their
-    linear interpolation in x; the eta/2 solve starts from the eta solution.
+    two-point Richardson step removes the leading O(eta) smoothing bias.  The
+    eta solve starts coarse to fine: every COARSE_STRIDE-th grid point and
+    the last are solved by continuation, and Newton on the full grid starts
+    from their linear interpolation in x; the eta/2 solve starts from the eta
+    solution.
     The grid must capture at least MIN_CAPTURED_MASS of the mass before
     renormalization.
     """

@@ -314,13 +314,14 @@ class TestExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"cmd": "rate", "num": 3}
 
-    @pytest.mark.parametrize("cmd, extra", [("cutnorm", ["--mode", "heuristic"]),
+    @pytest.mark.parametrize("cmd, extra", [("cutnorm", ["--mode", "exact"]),
                                             ("cutnorm", ["--seed", "1"]),
                                             ("qve-measure", ["--no-richardson"])])
     def test_removed_options_exit_2(self, const1_kernel, tmp_path, cmd, extra, capsys):
-        # each subcommand runs one algorithm, with no option to pick another
+        # each subcommand runs one algorithm, with no option to pick another:
+        # --mode is refused whatever its value
         argv = [cmd, "--kernel", const1_kernel, *extra, "--out", str(tmp_path / "o")]
-        code, out, err = run(argv, capsys)
+        code, _, err = run(argv, capsys)
         assert code == 2
         assert "unrecognized arguments" in err
         assert not (tmp_path / "o").exists()
