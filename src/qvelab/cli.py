@@ -1,8 +1,9 @@
 """Batch command-line front-end.
 
 Every subcommand calls one module pipeline, reads/writes CSV or JSON files,
-and prints a machine-readable JSON summary line on stderr.  Same argv + seed
-gives byte-identical outputs.
+and prints a machine-readable JSON summary line on stderr, which carries the
+seconds since ``main`` started as ``elapsed_s``.  Same argv + seed gives
+byte-identical output files.
 
 Exit codes: 0 success; 1 a check failed (a ``verify`` violation, or a
 numerical failure: ``NotConverged``, ``SolveFailure``, ``EigFailure``); 2 bad
@@ -19,6 +20,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -73,8 +75,13 @@ def _write(path, text):
             fh.write(text)
 
 
+# perf_counter() when main started the running command
+_started = 0.0
+
+
 def _summary(cmd, **extra):
-    line = json.dumps({"cmd": cmd, **extra}, sort_keys=True)
+    elapsed = time.perf_counter() - _started
+    line = json.dumps({"cmd": cmd, **extra, "elapsed_s": elapsed}, sort_keys=True)
     print(line, file=sys.stderr)
 
 
@@ -311,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _started
+    _started = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,6 +22,9 @@ the values are interpolated linearly in x, and Newton at the target starts
 from that interpolation.  A convex combination of points with Im m > 0 keeps
 Im m > 0; points where Newton misses from it, where m changes faster than the
 coarse spacing resolves, fall back to the continuation inside ``solve_qve``.
+The density is extrapolated to eta -> 0 with the derivative dm/dz, which the
+same stability makes one linear solve per point at the eta solution, so the
+grid is Newton-solved once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow, NotConverged, PreconditionViolated
+from .errors import GridTooNarrow, NotConverged, PreconditionViolated, SolveFailure
 from .kernels import StepKernel, degree_function
 from .measures import ProbMeasure1D, _trapezoid_weights
 from .report import CheckReport
@@ -247,15 +250,38 @@ def default_grid(W: StepKernel) -> SpectralGrid:
     return SpectralGrid(-b - 1.0, b + 1.0, GRID_POINTS, GRID_ETA)
 
 
+def _dm_dz(m, S):
+    """dm/dz at QVE solutions m, one row per point.
+
+    Differentiating m + 1/(z + Sm) = 0 in z, with 1/(z + Sm) = -m at a
+    solution, gives J m' = m^2 for the Newton Jacobian J = I - diag(m^2) S.
+    Points are solved in blocks of NEWTON_BLOCK.  A singular J or a
+    non-finite m' raises SolveFailure.
+    """
+    k = S.shape[0]
+    dm = np.empty_like(m)
+    for lo in range(0, m.shape[0], NEWTON_BLOCK):
+        m2 = m[lo:lo + NEWTON_BLOCK] ** 2
+        jac = m2[:, :, None] * -S
+        jac.reshape(-1, k * k)[:, ::k + 1] += 1.0   # J = I - diag(m^2) S in place
+        try:
+            dm[lo:lo + NEWTON_BLOCK] = np.linalg.solve(jac, m2[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"QVE derivative: {exc}") from exc
+    if not np.isfinite(dm).all():
+        raise SolveFailure("QVE derivative is not finite")
+    return dm
+
+
 def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1D:
     """QVE measure by Stieltjes inversion on the grid.
 
-    Density 2 rho_(eta/2) - rho_eta with rho_eta = Im m(x + i eta)/pi: the
-    two-point Richardson step removes the leading O(eta) smoothing bias.  The
-    eta solve starts coarse to fine: every COARSE_STRIDE-th grid point and
-    the last are solved by continuation, and Newton on the full grid starts
-    from their linear interpolation in x; the eta/2 solve starts from the eta
-    solution.
+    Density (Im mbar - eta Re mbar')/pi at x + i eta, with mbar = m . lambda
+    and mbar' its z-derivative: since d/d eta Im mbar = Re mbar', this is the
+    first-order extrapolation to eta -> 0, which removes the leading O(eta)
+    smoothing bias.  The eta solve starts coarse to fine: every
+    COARSE_STRIDE-th grid point and the last are solved by continuation, and
+    Newton on the full grid starts from their linear interpolation in x.
     The grid must capture at least MIN_CAPTURED_MASS of the mass before
     renormalization.
     """
@@ -264,21 +290,17 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1
     x = grid.x
     mu = W.partition.part_measures
 
-    def density(eta, m0):
-        sol = solve_qve(W, x + 1j * eta, m0=m0)
-        return (sol.m_values @ mu).imag / np.pi, sol.m_values
-
     coarse = np.unique(np.append(np.arange(0, x.size, COARSE_STRIDE), x.size - 1))
     mc = solve_qve(W, x[coarse] + 1j * grid.eta).m_values
     # linear interpolation of values with Im m > 0 keeps Im m > 0, as m0 needs
     m0 = np.stack([np.interp(x, x[coarse], mc[:, i].real)
                    + 1j * np.interp(x, x[coarse], mc[:, i].imag)
                    for i in range(W.k)], axis=1)
-    rho, m_eta = density(grid.eta, m0)
-    rho_half, _ = density(grid.eta / 2.0, m_eta)
-    rho = np.clip(2.0 * rho_half - rho, 0.0, None)
+    m = solve_qve(W, x + 1j * grid.eta, m0=m0).m_values
+    dm = _dm_dz(m, _coupling_matrix(W))
+    rho = np.clip(((m @ mu).imag - grid.eta * (dm @ mu).real) / np.pi, 0.0, None)
     mass = float(_trapezoid_weights(x) @ rho)
-    if mass < MIN_CAPTURED_MASS:
+    if not mass >= MIN_CAPTURED_MASS:   # a NaN mass fails too
         # a spike of width eta (an atom) needs a spacing below eta, which no
         # widening replaces; mass past the support bound needs a wider grid
         spacing = (grid.x_max - grid.x_min) / (grid.n_points - 1)

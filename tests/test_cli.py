@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +313,9 @@ class TestExitCodes:
         assert [row.split(",")[1] for row in rows[1:]] == ["inf"] * 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"cmd": "rate", "num": 3}
+        summary = json.loads(lines[0])
+        assert summary.pop("elapsed_s") >= 0.0
+        assert summary == {"cmd": "rate", "num": 3}
 
     @pytest.mark.parametrize("cmd, extra", [("cutnorm", ["--mode", "exact"]),
                                             ("cutnorm", ["--seed", "1"]),
@@ -336,6 +339,33 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "EigFailure"
+
+    def test_derivative_solve_failure_exits_1(self, monkeypatch, const1_kernel,
+                                             tmp_path, capsys):
+        # a singular Jacobian in the inversion's derivative is a numerical
+        # failure, not bad input: numpy's LinAlgError is a ValueError, which
+        # would exit 2.  The linear solve breaks once both grid solves are done
+        from qvelab import qve
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        solve, calls = qve.solve_qve, []
+
+        def solve_then_break(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol)
+            if len(calls) == 2:
+                monkeypatch.setattr(np.linalg, "solve", fail)
+            return sol
+
+        monkeypatch.setattr(qve, "solve_qve", solve_then_break)
+        out = tmp_path / "m.csv"
+        code, _, err = run(["qve-measure", "--kernel", const1_kernel,
+                            "--grid=-3:3:400:0.001", "--out", str(out)], capsys)
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "SolveFailure"
+        assert not out.exists()
 
     def test_solve_failure_exits_1(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -399,6 +429,22 @@ class TestCachedParser:
             trials.append(out)
         assert trials == ["stability: 0 violations / 2 trials\n",
                           "stability: 0 violations / 200 trials\n"]
+
+
+# one run of each subcommand; {k} is a kernel JSON path, {d} a scratch directory
+SUMMARY_ARGVS = [
+    ["qve-solve", "--kernel", "{k}", "--z", "0+2i"],
+    ["qve-measure", "--kernel", "{k}", "--grid=-3:3:400:0.001", "--out", "{d}/m.csv"],
+    ["moments", "--kernel", "{k}", "--max-order", "4"],
+    ["rate", "--u-min", "1", "--u-max", "2", "--num", "3"],
+    ["k-alpha", "--alpha", "2", "--eps", "0.5"],
+    ["sample", "--n", "10", "--p", "0.5", "--out", "{d}/s.csv"],
+    ["tilt", "--kernel", "{k}", "--n", "10", "--p", "0.5", "--out", "{d}/t.csv"],
+    ["spectrum", "--n", "10", "--out", "{d}/e.csv"],
+    ["compare", "--a", "semicircle", "--b", "semicircle"],
+    ["cutnorm", "--kernel", "{k}"],
+    ["verify", "--suite", "k_alpha_roundtrip", "--trials", "1"],
+]
 
 
 class TestSubcommands:
@@ -489,6 +535,22 @@ class TestSubcommands:
         from qvelab import measures
         mu = measures.load_measure_csv(out_path)
         assert abs(trapezoid(mu.density, mu.x) - 1.0) <= 1e-6
+
+
+    @pytest.mark.parametrize("argv", SUMMARY_ARGVS, ids=lambda argv: argv[0])
+    def test_summary_reports_elapsed(self, argv, const1_kernel, tmp_path, capsys):
+        # one stderr JSON line per subcommand, timed from the start of main
+        argv = [a.format(k=const1_kernel, d=tmp_path) for a in argv]
+        t0 = time.perf_counter()
+        code, _, err = run(argv, capsys)
+        wall = time.perf_counter() - t0
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert summary["cmd"] == argv[0]
+        assert 0.0 <= summary["elapsed_s"] <= wall
+        assert {a[0] for a in SUMMARY_ARGVS} == set(cli._COMMANDS)
 
 
 class TestDeterminism:

@@ -49,7 +49,7 @@ def test_cut_distance_sizes():
 
 def test_one_algorithm_per_routine():
     # the cut norm is exact only, up to MAX_EXACT_CUTNORM parts, and the
-    # inversion always takes the eta/2 Richardson step
+    # inversion always extrapolates with the QVE derivative at eta
     assert kernels.MAX_EXACT_CUTNORM == 12
     assert list(inspect.signature(kernels.cut_norm).parameters) == ["W"]
     assert list(inspect.signature(qve.qve_measure).parameters) == ["W", "grid"]

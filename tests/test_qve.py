@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
 from qvelab import kernels, qve, trees
-from qvelab.errors import GridTooNarrow, NotConverged, PreconditionViolated
+from qvelab.errors import (GridTooNarrow, NotConverged, PreconditionViolated,
+                           SolveFailure)
 from qvelab.kernels import Partition, StepKernel
 
 
@@ -42,16 +43,16 @@ def damped_oracle(S, z, tol=1e-12, max_iter=200_000):
 
 
 def reference_density(W, grid):
-    """Richardson density of qve_measure without the coarse-to-fine start:
-    the eta solve walks the continuation at every grid point, and the eta/2
-    solve starts from it.
+    """Extrapolated density of qve_measure without the coarse-to-fine start:
+    the eta solve walks the continuation at every grid point, and the density
+    (Im mbar - eta Re mbar')/pi takes the derivative at that solution.
 
     Returns the renormalized density and the mass captured before it."""
     x = grid.x
-    sol_eta = qve.solve_qve(W, x + 1j * grid.eta)
-    sol_half = qve.solve_qve(W, x + 0.5j * grid.eta, m0=sol_eta.m_values)
-    rho_eta, rho_half = (sol.average().imag / np.pi for sol in (sol_eta, sol_half))
-    rho = np.clip(2.0 * rho_half - rho_eta, 0.0, None)
+    sol = qve.solve_qve(W, x + 1j * grid.eta)
+    dm = qve._dm_dz(sol.m_values, qve._coupling_matrix(W))
+    mbar, dmbar = sol.average(), dm @ sol.part_measures
+    rho = np.clip((mbar.imag - grid.eta * dmbar.real) / np.pi, 0.0, None)
     mass = trapezoid(rho, x)
     return rho / mass, mass
 
@@ -263,6 +264,52 @@ class TestSupportBound:
         assert trapezoid(mu.density[outside], x[outside]) <= 2e-3
 
 
+class TestDmDz:
+    @settings(max_examples=40, deadline=None)
+    @given(vals=kernel_values(), re=st.floats(-5.0, 5.0),
+           log_im=st.floats(-3.0, 0.0))
+    def test_matches_central_difference(self, vals, re, log_im):
+        # [DERIVED] m is analytic in z, so dm/dz is its derivative along the
+        # real axis.  h = 1e-4 Im z keeps the O(h^2) truncation and the
+        # solver's 1e-12 residual divided by h near 1e-8 relative
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        z = complex(re, 10.0 ** log_im)
+        h = 1e-4 * z.imag
+        m = qve.solve_qve(W, [z - h, z, z + h]).m_values
+        dm = qve._dm_dz(m[1:2], qve._coupling_matrix(W))[0]
+        fd = (m[2] - m[0]) / (2.0 * h)
+        assert np.all(np.abs(dm - fd) <= 1e-6 * np.abs(dm))
+
+    def test_zero_kernel_is_inverse_square(self):
+        # [TRIVIAL] m = -1/z solves the QVE of the zero kernel and J = I, so
+        # m' = m^2 = 1/z^2 bit for bit
+        z = np.array([0.3 + 1e-3j, -2.0 + 0.5j, 1j])
+        m = np.repeat((-1.0 / z)[:, None], 3, axis=1)
+        dm = qve._dm_dz(m, np.zeros((3, 3)))
+        assert np.array_equal(dm, np.repeat((1.0 / z)[:, None] ** 2, 3, axis=1))
+        assert np.allclose(dm[:, 0], 1.0 / z ** 2, rtol=1e-15, atol=0.0)
+
+    def test_blocks_match_one_solve(self):
+        # the blocking is invisible: each point's system is solved alone
+        rng = np.random.default_rng(3)
+        W = random_kernel(rng, 3)
+        S = qve._coupling_matrix(W)
+        z = np.linspace(-3.0, 3.0, qve.NEWTON_BLOCK + 7) + 1e-2j
+        m = qve.solve_qve(W, z).m_values
+        whole = qve._dm_dz(m, S)
+        for i in (0, qve.NEWTON_BLOCK - 1, qve.NEWTON_BLOCK, z.size - 1):
+            assert np.array_equal(whole[i], qve._dm_dz(m[i:i + 1], S)[0])
+
+    def test_singular_jacobian_raises(self):
+        # J = 1 - m^2 S vanishes at m = 1, S = 1
+        with pytest.raises(SolveFailure):
+            qve._dm_dz(np.array([[1.0 + 0j]]), np.array([[1.0]]))
+
+    def test_non_finite_derivative_raises(self):
+        with pytest.raises(SolveFailure):
+            qve._dm_dz(np.array([[complex(np.nan, 1.0)]]), np.array([[1.0]]))
+
+
 class TestQveMeasure:
     def test_semicircle_density(self):
         # [DERIVED] closed-form semicircle; rho(0) ~ 1/pi
@@ -374,6 +421,30 @@ class TestQveMeasure:
         n_coarse = len({*range(0, grid.n_points, qve.COARSE_STRIDE), grid.n_points - 1})
         assert continuation_sizes[0] == n_coarse
         assert sum(continuation_sizes) > n_coarse
+
+    def test_solves_the_grid_once(self, monkeypatch):
+        # the coarse points, then the full grid at eta from their
+        # interpolation; the eta -> 0 extrapolation solves nothing more
+        calls = []
+        solve = qve.solve_qve
+
+        def counting(W, z_points, m0=None, shift=None):
+            calls.append((np.asarray(z_points).copy(), m0 is not None))
+            return solve(W, z_points, m0=m0, shift=shift)
+
+        monkeypatch.setattr(qve, "solve_qve", counting)
+        grid = qve.SpectralGrid(-3.0, 3.0, 4000, 1e-3)
+        qve.qve_measure(StepKernel.constant(1.0), grid)
+        assert len(calls) == 2
+        (zc, warm_c), (zf, warm_f) = calls
+        assert zc.size == len({*range(0, 4000, qve.COARSE_STRIDE), 3999}) and not warm_c
+        assert np.array_equal(zf, grid.x + 1j * grid.eta) and warm_f
+
+    def test_nan_density_is_grid_too_narrow(self, monkeypatch):
+        # a NaN density has a NaN mass, which must fail the mass check
+        monkeypatch.setattr(qve, "_dm_dz", lambda m, S: np.full_like(m, np.nan))
+        with pytest.raises(GridTooNarrow, match="mass nan"):
+            qve.qve_measure(StepKernel.constant(1.0))
 
     def test_moment_consistency_with_trees(self):
         # cross-module invariant: grid moments match the tree formula
