@@ -135,16 +135,11 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     if np.any(U.values <= 0):
         raise DomainError("tilting kernel values must be strictly positive")
 
-    v2 = law.support ** 2
-    p_edge = np.empty((k, k))
-    probs = np.empty((k, k, law.support.size))
-    for a in range(k):
-        for b in range(a, k):
-            theta = h_L_prime(law, float(U.values[a, b]))
-            Z = 1.0 + p * cgf_L(law, theta)
-            p_edge[a, b] = p_edge[b, a] = p * (cgf_L(law, theta) + 1.0) / Z
-            cond = law.probs * np.exp(theta * v2)
-            probs[a, b] = probs[b, a] = cond / cond.sum()
+    theta = h_L_prime(law, U.values)
+    L = cgf_L(law, theta)
+    p_edge = p * (L + 1.0) / (1.0 + p * L)
+    cond = law.probs * np.exp(theta[..., None] * law.support ** 2)
+    probs = cond / cond.sum(axis=-1, keepdims=True)
     return _draw(n, p, seed, law.support, np.arange(n) // (n // k), p_edge, probs)
 
 

@@ -5,6 +5,11 @@ The entry law is a finite discrete distribution with mean 0 and variance 1,
 which makes the cumulant function L(theta) = E exp(theta A^2) - 1 and the
 exponential tilting exact.  h_L is the convex conjugate of L; for the
 Rademacher law it reduces to u log u - u + 1.
+
+One inversion of L' serves every rate function: _invert_L_prime runs Newton on
+an array of u at once and bisects only the entries Newton misses, and one
+array evaluator of h_L (_h_L) stands behind legendre_h_L, rate_table and
+kernel_entropy.  k_alpha needs no inversion: it bisects in theta.
 """
 
 from __future__ import annotations
@@ -82,11 +87,6 @@ class EntryLaw:
         """A^2 on the support (cached: every evaluation of L reads it)."""
         return self.support ** 2
 
-    @functools.cached_property
-    def _theta_memo(self) -> dict:
-        """h_L'(u) by u (cached: the searches revisit the same u)."""
-        return {}
-
     def to_json(self) -> str:
         return json.dumps({"support": self.support.tolist(),
                            "probs": self.probs.tolist()})
@@ -110,9 +110,12 @@ class EntryLaw:
 
 
 @np.errstate(over="ignore")
-def cgf_L(law: EntryLaw, theta: float) -> float:
-    """L(theta) = E exp(theta A^2) - 1, exact finite sum."""
-    return float(law.probs @ np.exp(theta * law._squares) - 1.0)
+def cgf_L(law: EntryLaw, theta):
+    """L(theta) = E exp(theta A^2) - 1, exact finite sum: a float at a float
+    theta, one value per entry at an array theta."""
+    t = np.asarray(theta, dtype=float)
+    L = _L_derivative(law, t[..., None], 0) - 1.0
+    return float(L) if t.ndim == 0 else L
 
 
 @np.errstate(over="ignore")
@@ -121,64 +124,43 @@ def cgf_L_prime(law: EntryLaw, theta: float) -> float:
 
 
 def _L_derivative(law: EntryLaw, theta, order: int):
-    """The order-th derivative E A^(2 order) exp(theta A^2) of L, order >= 1,
-    with overflow left to the caller: a scalar at a float theta, one value per
-    row at a column theta of shape (m, 1).  (A column broadcasts; the scalar
-    path would pay np.multiply.outer's extra half microsecond per call.)"""
+    """E A^(2 order) exp(theta A^2): L + 1 at order 0, the order-th derivative
+    of L above, with overflow left to the caller.  A scalar at a float theta,
+    one value per row at a column theta of shape (m, 1).  (A column
+    broadcasts; the scalar path would pay np.multiply.outer's extra half
+    microsecond per call.)"""
     v2 = law._squares
-    weight = v2 if order == 1 else v2 ** order
-    return (weight * np.exp(theta * v2)) @ law.probs
+    e = np.exp(theta * v2)
+    if order:
+        e = (v2 if order == 1 else v2 ** order) * e
+    return e @ law.probs
 
 
-def h_L_prime(law: EntryLaw, u: float) -> float:
-    """Inverse of L': the unique theta with L'(theta) = u, u > 0.
+def h_L_prime(law: EntryLaw, u):
+    """Inverse of L': the unique theta with L'(theta) = u, for finite u > 0.
 
-    Newton from a crude log guess, with a bisection fallback on an expanding
-    bracket.  Memoized; the memoized path is bit-identical to the direct one.
+    A float at a float u; at an array u, one theta per entry, all found in
+    one array pass of _invert_L_prime.
     """
-    if not (math.isfinite(u) and u > 0):
-        raise DomainError(f"h_L' defined for finite u > 0 only, got {u!r}")
-    key = float(u)
-    memo = law._theta_memo
-    if key in memo:
-        return memo[key]
-    theta = _invert_L_prime(law, u)
-    memo[key] = theta
-    return theta
-
-
-# Both inversions of L' run the same Newton iteration from theta = log(u)/R^2:
-# it stops when |L'(theta) - u| <= 1e-14 max(1, u) or the step drops below
-# 1e-16 max(1, |theta|), gives up on a step that is not finite or after 100
-# steps, and its theta is kept only if |L'(theta) - u| <= 1e-10 max(1, u).
-# Every other u goes to _bisect_L_prime.
-
-
-@np.errstate(over="ignore")
-def _invert_L_prime(law: EntryLaw, u: float) -> float:
-    theta = math.log(u) / law.bound ** 2
-    converged = False
-    for _ in range(100):
-        f = float(_L_derivative(law, theta, 1)) - u
-        if abs(f) <= 1e-14 * max(1.0, u):
-            converged = True
-            break
-        step = f / float(_L_derivative(law, theta, 2))
-        if not math.isfinite(step):
-            break
-        theta -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(theta)):
-            converged = True
-            break
-    if converged and abs(_L_derivative(law, theta, 1) - u) <= 1e-10 * max(1.0, u):
-        return theta
-    return _bisect_L_prime(law, u)
+    a = np.asarray(u, dtype=float)
+    bad = ~(np.isfinite(a) & (a > 0))
+    if bad.any():
+        raise DomainError(
+            f"h_L' defined for finite u > 0 only, got {float(a[bad][0])!r}")
+    theta = _invert_L_prime(law, a.ravel()).reshape(a.shape)
+    return float(theta) if a.ndim == 0 else theta
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _invert_L_prime_array(law: EntryLaw, u: np.ndarray) -> np.ndarray:
-    """_invert_L_prime at every entry of u (finite, > 0), Newton run on all
-    entries at once."""
+def _invert_L_prime(law: EntryLaw, u: np.ndarray) -> np.ndarray:
+    """theta with L'(theta) = u at every entry of u (finite, > 0).
+
+    Newton runs on all entries at once from theta = log(u)/R^2.  An entry
+    stops when |L'(theta) - u| <= 1e-14 max(1, u) or its step drops below
+    1e-16 max(1, |theta|), and gives up on a step that is not finite or after
+    100 steps.  Its theta is kept only if |L'(theta) - u| <= 1e-10 max(1, u);
+    every other entry goes to _bisect_L_prime.
+    """
     theta = np.log(u) / law.bound ** 2
     converged = np.zeros(u.shape, dtype=bool)
     live = np.arange(u.size)
@@ -237,84 +219,95 @@ def _bisect_L_prime(law: EntryLaw, u: float) -> float:
     return min((lo, hi), key=lambda t: abs(d1(t) - u))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _h_L(law: EntryLaw, u: np.ndarray) -> np.ndarray:
+    """h_L at every entry of a 1-D u: +inf below 0, 1 - P(A = 0) at 0, and
+    max(0, theta u - L(theta)) at theta = h_L'(u) above 0, with L' inverted
+    for all u > 0 in one array pass.  DomainError for a NaN or +inf u.
+
+    Never negative: theta = 0 gives 0, so a negative theta u - L(theta),
+    which rounding yields near u = 1, reads 0, and so does a NaN one
+    (inf - inf near the top of the float range).
+    """
+    # -L(theta) = 1 - E exp(theta A^2) decreases in theta, so h_L(0) is its
+    # limit theta -> -inf, where E exp(theta A^2) -> P(A = 0)
+    h = np.where(u < 0, math.inf, 1.0 - law.probs[law.support == 0.0].sum())
+    pos = ~(u <= 0)         # NaN too: h_L_prime refuses it
+    theta = h_L_prime(law, u[pos])
+    g = theta * u[pos] - cgf_L(law, theta)
+    h[pos] = np.where(g > 0.0, g, 0.0)
+    return h
+
+
 def legendre_h_L(law: EntryLaw, u: float) -> float:
     """Convex conjugate h_L(u) = sup_theta {theta u - L(theta)}.
 
-    +inf for u < 0, 1 - P(A = 0) at u = 0, and 0 only at u = 1.  Never
-    negative: theta = 0 gives 0, so a negative theta u - L(theta), which
-    rounding yields near u = 1, reads 0.
+    +inf for u < 0, 1 - P(A = 0) at u = 0, and 0 only at u = 1; never
+    negative.
     """
-    if u < 0:
-        return math.inf
-    if u == 0:
-        # -L(theta) = 1 - E exp(theta A^2) decreases in theta, so its sup is
-        # the limit theta -> -inf, where E exp(theta A^2) -> P(A = 0)
-        return float(1.0 - law.probs[law.support == 0.0].sum())
-    theta = h_L_prime(law, u)
-    return max(0.0, theta * u - cgf_L(law, theta))
+    return float(_h_L(law, np.array([u], dtype=float))[0])
 
 
 def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
     """H(W) = 1/2 * integral of h_L over the kernel."""
     mu = W.partition.part_measures
-    vals = np.unique(W.values)
-    table = {v: legendre_h_L(law, float(v)) for v in vals}
-    h = np.vectorize(lambda v: table[v])(W.values)
+    # one h_L per distinct value, so equal values weigh in with equal bits
+    vals, inverse = np.unique(W.values.ravel(), return_inverse=True)
+    h = _h_L(law, vals)[inverse]
     # sorted fsum makes the result exactly invariant under part relabelling
-    terms = (h * np.outer(mu, mu)).ravel()
+    terms = h * np.outer(mu, mu).ravel()
     return 0.5 * math.fsum(sorted(terms))
 
 
 def er_rate_h(u: float) -> float:
     """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity)."""
-    if u < 0:
+    if not u >= 0:
         raise DomainError("h defined for u >= 0")
     return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
 
 
+@np.errstate(over="ignore")
 def k_alpha(law: EntryLaw, alpha: float, eps: float) -> float:
     """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps,
     to within K_ALPHA_PSI_TOL in psi.
 
-    psi(u) = h_L(u)/u is an increasing homeomorphism of [1, inf) onto
-    [0, inf), so bisection on psi always succeeds while the root is a float;
-    DomainError when it is not (alpha/eps above about 702 for Rademacher).
+    At u = L'(theta), h_L(u)/u = psi(theta) = theta - L(theta)/L'(theta),
+    which increases from psi(0) = 0 without bound on theta >= 0.  So the
+    search bisects psi in theta, evaluating only L and L', and returns
+    u = L'(theta): L' is never inverted.  DomainError when the root's
+    h_L(u) = u psi overflows (alpha/eps above about 702 for Rademacher).
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise DomainError("alpha must be >= 1")
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0,1)")
     target = alpha / eps
 
-    def psi(u):
-        return legendre_h_L(law, u) / u
+    def psi(theta):
+        u = float(_L_derivative(law, theta, 1))
+        if not math.isfinite(theta * u):
+            return math.inf
+        return theta - float(_L_derivative(law, theta, 0) - 1.0) / u
 
-    # psi grows like log u for bounded laws, so square the bracket bound and
-    # bisect geometrically (in log u) to cover very large roots
-    u_max = 1e308
-    lo, hi = 1.0, 2.0
+    lo, hi = 0.0, 1.0 / law.bound ** 2
     while psi(hi) < target:
-        if hi >= u_max:
-            raise DomainError("target alpha/eps exceeds float range")
-        lo, hi = hi, min(hi * hi, u_max)
-    for _ in range(500):
-        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # psi(lo) < target <= psi(hi) at adjacent floats: an inf psi(hi)
+            # means the root lies where h_L overflows
+            if not math.isfinite(psi(hi)):
+                raise DomainError("target alpha/eps exceeds float range")
+            break
         val = psi(mid)
         if abs(val - target) <= K_ALPHA_PSI_TOL:
-            return mid
+            break
         if val < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    else:
-        mid = math.sqrt(lo) * math.sqrt(hi)
-    # h_L(u) overflows above u ~ 2.6e305 (psi ~ 702 for Rademacher), where psi
-    # reads inf: a bracket top still there means the root is out of range
-    if not math.isfinite(psi(hi)):
-        raise DomainError("target alpha/eps exceeds float range")
-    return mid
+    return float(_L_derivative(law, mid, 1))
 
 
 class BennettBound(NamedTuple):
@@ -325,10 +318,10 @@ class BennettBound(NamedTuple):
 def dependent_bennett_bound(lam: float, a: float, t: float) -> BennettBound:
     """Tail bound exp(-(lam/a) h(t/lam)) for dependent sums, with the weaker
     exp(-(t/a) log(t/3 lam)) alongside for reference."""
-    if lam <= 0 or a <= 0:
+    if not (lam > 0 and a > 0):
         raise DomainError("lam and a must be positive")
-    if t <= lam:
-        raise DomainError("t must exceed lam")
+    if not lam < t < math.inf:
+        raise DomainError("t must be finite and exceed lam")
     strong = math.exp(-(lam / a) * er_rate_h(t / lam))
     weak = math.exp(-(t / a) * math.log(t / (3.0 * lam)))
     return BennettBound(strong, min(weak, 1.0) if t <= 3.0 * lam else weak)
@@ -338,22 +331,22 @@ def chaos_exponent(x: float) -> float:
     """h~(x) = sup_{theta >= 0} {theta x - (exp(theta^2) - 1)}.
 
     The objective is unimodal in theta; maximized by golden-section search
-    down to a bracket of width CHAOS_TOL.
+    down to a bracket of width CHAOS_TOL.  Finite at every finite x >= 0
+    below about 6.8e306, where h~(x) itself passes the float range and
+    reads inf.
     """
-    if x < 0:
-        raise DomainError("x must be >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x!r}")
     if x == 0:
         return 0.0
 
     def obj(theta):
         return theta * x - (math.exp(theta ** 2) - 1.0)
 
-    hi = 1.0
-    # stationary point solves 2 theta exp(theta^2) = x
-    for _ in range(200):
-        if 2.0 * hi * math.exp(hi ** 2) >= x:
-            break
-        hi *= 2.0
+    # the stationary point solves 2 theta exp(theta^2) = x, and the left side
+    # is >= x at theta = sqrt(max(1, log x)), where exp(theta^2) = max(e, x)
+    # cannot overflow
+    hi = math.sqrt(max(1.0, math.log(x)))
     # golden-section maximization on [0, hi]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, hi
@@ -374,7 +367,7 @@ def chaos_exponent(x: float) -> float:
 def chaos_tail_bound(t: float, p: float) -> float:
     """Order-2 sparse chaos tail bound at unit np normalization:
     2 exp(-h~((t/16) sqrt(log 1/p)))."""
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be positive")
     if not 0 < p < 1:
         raise DomainError("p must lie in (0,1)")
@@ -383,7 +376,7 @@ def chaos_tail_bound(t: float, p: float) -> float:
 
 def change_of_measure_bound(H_rel: float, q: float) -> float:
     """Lower bound q exp(-(H_rel + 1/e)/q) on P(E) when Q(E) >= q."""
-    if H_rel < 0:
+    if not H_rel >= 0:
         raise DomainError("relative entropy must be >= 0")
     if not 0 < q <= 1:
         raise DomainError("q must lie in (0,1]")
@@ -421,20 +414,8 @@ def rate_upper_bound(law: EntryLaw, target, family,
     return best
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def rate_table(law: EntryLaw, u_values):
     """(u, h_L(u)) rows for a CSV export: legendre_h_L at every u, with L'
     inverted for all u > 0 in one array pass."""
     u = np.asarray(u_values, dtype=float).ravel()
-    bad = np.flatnonzero(~((u <= 0) | np.isfinite(u)))
-    if bad.size:
-        raise DomainError(
-            f"h_L' defined for finite u > 0 only, got {float(u[bad[0]])!r}")
-    h = np.where(u < 0, math.inf, legendre_h_L(law, 0.0))
-    pos = np.flatnonzero(u > 0)
-    theta = _invert_L_prime_array(law, u[pos])
-    L = np.exp(theta[:, None] * law._squares) @ law.probs - 1.0
-    g = theta * u[pos] - L
-    # max(0, g) as legendre_h_L takes it: a NaN g (inf - inf) reads 0 too
-    h[pos] = np.where(g > 0.0, g, 0.0)
-    return list(zip(u.tolist(), h.tolist()))
+    return list(zip(u.tolist(), _h_L(law, u).tolist()))

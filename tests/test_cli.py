@@ -141,6 +141,15 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "DomainError"
 
+    def test_k_alpha_nan_alpha_exits_2(self, capsys):
+        # alpha < 1 is False for NaN: the guard must reject it all the same
+        code, out, err = run(["k-alpha", "--alpha", "nan", "--eps", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+
     def test_k_alpha_overflow_stderr_is_one_json_line(self, tmp_path):
         # L'(theta) overflows on the way to the out-of-range root; numpy's
         # warnings must not reach stderr ahead of the error line

@@ -34,6 +34,8 @@ def test_contract_values():
     assert suites.RANK_KS_SLACK == 1e-12
     assert suites.CUT_NORM_EXACT_TOL == 1e-12
     assert suites.K_ALPHA_ROUNDTRIP_TOL == 1e-9
+    assert rates.K_ALPHA_PSI_TOL == 1e-10
+    assert rates.CHAOS_TOL == 1e-10
 
 
 def test_cut_distance_sizes():
@@ -76,7 +78,9 @@ def test_upper_regularity_size():
                                 measures.hw_check, measures.interlacing_check,
                                 measures.metric_inequality_check,
                                 trees.counting_lemma_check,
-                                trees.degree_bound_check])
+                                trees.degree_bound_check,
+                                rates.k_alpha, rates.h_L_prime,
+                                rates.legendre_h_L, rates.chaos_exponent])
 def test_no_call_can_loosen_a_contract(fn):
     params = inspect.signature(fn).parameters.values()
     assert not [p.name for p in params

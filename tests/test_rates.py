@@ -1,6 +1,7 @@
 """Tests for qvelab.rates: cumulant function, Legendre conjugate, bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,19 +175,27 @@ class TestLegendreHL:
         law_b = EntryLaw(SPREAD_LAW.support, SPREAD_LAW.probs)
         for u in (0.3, 2.7, 11.0):
             first = rates.legendre_h_L(law_a, u)
-            again = rates.legendre_h_L(law_a, u)   # memoized path
-            fresh = rates.legendre_h_L(law_b, u)   # unmemoized path
+            again = rates.legendre_h_L(law_a, u)   # the same law once more
+            fresh = rates.legendre_h_L(law_b, u)   # an equal law built anew
             assert first == again == fresh
 
     def test_h_L_prime_inverts_L_prime(self):
         law = SPREAD_LAW
-        for u in (0.05, 0.8, 1.0, 3.0, 40.0):
+        us = (0.05, 0.8, 1.0, 3.0, 40.0)
+        for u in us:
             theta = rates.h_L_prime(law, u)
+            assert type(theta) is float
             assert abs(rates.cgf_L_prime(law, theta) - u) <= 1e-9 * max(1.0, u)
+        # an array of u gives its thetas in its shape, with the same bits
+        grid = np.array([us, us[::-1]])
+        thetas = rates.h_L_prime(law, grid)
+        assert thetas.shape == grid.shape
+        assert thetas.tolist() == [[rates.h_L_prime(law, u) for u in row]
+                                   for row in grid.tolist()]
 
     def test_h_L_prime_rejects_non_finite(self):
         law = SPREAD_LAW
-        for u in (math.nan, math.inf):
+        for u in (math.nan, math.inf, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
                 rates.h_L_prime(law, u)
 
@@ -233,7 +242,7 @@ class TestHLPrimeBisection:
          1.2176469362061843e+42),
     ])
     def test_rate_table_falls_back_alike(self, monkeypatch, law, u):
-        # the array Newton misses these u too, and the shared bisection
+        # Newton misses these u in the table as well, and the bisection
         # (the only scalar evaluations rate_table makes) decides them
         scalar_orders = []
         real = rates._L_derivative
@@ -335,8 +344,9 @@ class TestErRateH:
         assert abs(rates.er_rate_h(math.e) - 1.0) <= 1e-12
 
     def test_negative(self):
-        with pytest.raises(DomainError):
-            rates.er_rate_h(-0.1)
+        for u in (-0.1, math.nan):
+            with pytest.raises(DomainError):
+                rates.er_rate_h(u)
 
 
 class TestKAlpha:
@@ -379,12 +389,35 @@ class TestKAlpha:
             assert 1.0 < u <= prev
             prev = u
 
+    @settings(max_examples=60, deadline=None)
+    @given(finite_laws(), st.floats(1.0, 50.0), st.floats(0.1, 0.98))
+    def test_round_trip_any_law(self, law, alpha, eps):
+        # [DERIVED] psi(K_alpha(eps)) = alpha / eps for every finite law, found
+        # from L and L' alone: k_alpha never inverts L'
+        target = alpha / eps
+
+        def no_inversion(*args):
+            raise AssertionError("k_alpha inverted L'")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_invert_L_prime", no_inversion)
+            mp.setattr(rates, "_bisect_L_prime", no_inversion)
+            try:
+                u = rates.k_alpha(law, alpha, eps)
+            except DomainError:
+                u = None
+        if u is None:
+            # out of range only where h_L(K) = K target overflows, so K > 1e300
+            assert rates.legendre_h_L(law, 1e300) / 1e300 < target
+            return
+        psi = rates.legendre_h_L(law, u) / u
+        assert abs(psi - target) <= rates.K_ALPHA_PSI_TOL + 8 * math.ulp(target)
+
     def test_domain_errors(self):
         law = EntryLaw.rademacher()
-        with pytest.raises(DomainError):
-            rates.k_alpha(law, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            rates.k_alpha(law, 2.0, 1.5)
+        for alpha, eps in ((0.5, 0.5), (2.0, 1.5), (math.nan, 0.5), (2.0, math.nan)):
+            with pytest.raises(DomainError):
+                rates.k_alpha(law, alpha, eps)
 
     def test_root_beyond_float_range(self):
         # psi = h_L(u)/u overflows to inf above u ~ 2.6e305 (psi ~ 702), so
@@ -418,6 +451,16 @@ class TestBennettBound:
         with pytest.raises(DomainError):
             rates.dependent_bennett_bound(1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("lam, a, t", [
+        (math.nan, 1.0, 3.0), (1.0, math.nan, 3.0), (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ])
+    def test_domain_non_finite(self, lam, a, t):
+        # a NaN fails every comparison, so the guards must reject it too; an
+        # infinite t would make h(t/lam) = inf - inf
+        with pytest.raises(DomainError):
+            rates.dependent_bennett_bound(lam, a, t)
+
 
 class TestChaosExponent:
     def test_zero(self):
@@ -448,6 +491,25 @@ class TestChaosExponent:
             grid_max = float(np.max(thetas * x - (np.exp(thetas ** 2) - 1.0)))
             assert abs(rates.chaos_exponent(x) - grid_max) <= 1e-6
 
+    def test_large_x_against_stationarity(self):
+        # [DERIVED] the maximizer solves 2 theta exp(theta^2) = x, where the
+        # objective is theta x - x/(2 theta) + 1; the old bracket overflowed
+        # exp(theta^2) for every x above about 1e113
+        x = 1e200
+        theta = brentq(lambda t: math.log(2.0 * t) + t * t - math.log(x),
+                       1.0, 30.0, xtol=1e-15, rtol=8.9e-16)
+        oracle = theta * x - x / (2.0 * theta) + 1.0
+        assert abs(rates.chaos_exponent(x) / oracle - 1.0) <= 1e-12
+        for big in (1e113, 1e300, 6e306):
+            assert math.isfinite(rates.chaos_exponent(big))
+        # h~(x) itself passes the float range above about 6.8e306
+        assert rates.chaos_exponent(sys.float_info.max) == math.inf
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+    def test_domain(self, x):
+        with pytest.raises(DomainError):
+            rates.chaos_exponent(x)
+
     def test_tail_bound_range(self):
         val = rates.chaos_tail_bound(1.0, 0.05)
         assert 0.0 < val <= 2.0
@@ -460,6 +522,12 @@ class TestChangeOfMeasure:
         # [DERIVED] q = 1, H = 0 -> exp(-1/e)
         assert abs(rates.change_of_measure_bound(0.0, 1.0)
                    - math.exp(-math.exp(-1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("H_rel, q", [
+        (-0.1, 0.5), (math.nan, 0.5), (0.0, math.nan), (0.0, 0.0)])
+    def test_domain(self, H_rel, q):
+        with pytest.raises(DomainError):
+            rates.change_of_measure_bound(H_rel, q)
 
     def test_bounded_by_q(self):
         # [TRIVIAL] exponential factor <= 1
