@@ -96,8 +96,13 @@ def _coupling_matrix(W: StepKernel) -> np.ndarray:
 
 
 def _sup_res(m, zd, S):
-    """Sup-norm residual of m + 1/(zd + S m), zd = z + shift per coordinate."""
-    return np.abs(m + 1.0 / (zd + m @ S.T)).max(axis=1)
+    """Sup-norm residual of m + 1/(zd + S m), zd = z + shift per coordinate,
+    formed in place in one temporary."""
+    t = m @ S.T
+    t += zd
+    np.divide(1.0, t, out=t)
+    t += m
+    return np.abs(t).max(axis=1)
 
 
 def _newton(m, zd, S, tol):
@@ -108,11 +113,22 @@ def _newton(m, zd, S, tol):
     where no halving does so stops, and every point stops after MAX_ITER
     steps.  Points are solved in blocks of NEWTON_BLOCK.  Returns m and the
     residuals.
+
+    A step builds the Jacobian J = I - diag(inv^2) S, inv = 1/(zd + S m),
+    into workspaces allocated once per call, so it makes no (n, k, k)
+    temporary.  The rows every matmul and LAPACK call sees are fixed by
+    NEWTON_BLOCK, the live points and the halving sub-batches, and they must
+    stay so: numpy's matmul rounds a one-row batch differently from the same
+    row in a larger batch, so regrouping the rows would move the output bits.
     """
-    eye = np.eye(S.shape[0])
+    k = S.shape[0]
+    eye = np.eye(k)
     res = _sup_res(m, zd, S)
     tol = np.zeros_like(res) + tol
     todo = np.flatnonzero(~(res <= tol))
+    nb = min(todo.size, NEWTON_BLOCK)
+    jac_ws = np.empty((nb, k, k), dtype=complex)
+    inv_ws, rhs_ws, trial_ws = np.empty((3, nb, k), dtype=complex)
     for lo in range(0, todo.size, NEWTON_BLOCK):
         idx = todo[lo:lo + NEWTON_BLOCK]
         mb, zb, rb, tb = m[idx], zd[idx], res[idx], tol[idx]
@@ -123,16 +139,24 @@ def _newton(m, zd, S, tol):
                 break
             a = np.flatnonzero(live)
             ma, za, ra = mb[a], zb[a], rb[a]
-            inv = 1.0 / (za + ma @ S.T)
-            jac = eye - (inv * inv)[:, :, None] * S
+            n = ma.shape[0]
+            inv, rhs, trial, jac = inv_ws[:n], rhs_ws[:n], trial_ws[:n], jac_ws[:n]
+            np.matmul(ma, S.T, out=inv)
+            inv += za
+            np.divide(1.0, inv, out=inv)
+            np.multiply(inv, inv, out=rhs)      # inv^2 until J is built
+            np.multiply(rhs[:, :, None], S, out=jac)
+            np.subtract(eye, jac, out=jac)
+            np.add(ma, inv, out=rhs)
+            np.negative(rhs, out=rhs)
             try:
-                delta = np.linalg.solve(jac, -(ma + inv)[:, :, None])[:, :, 0]
+                delta = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 break
-            step = np.ones(a.size)
-            trial = ma + delta
+            np.add(ma, delta, out=trial)
             rt = _sup_res(trial, za, S)
             ok = (rt < ra) & (trial.imag > 0).all(axis=1)
+            step = np.ones(n)
             for _halving in range(40):
                 redo = np.flatnonzero(~ok)
                 if redo.size == 0:
@@ -255,14 +279,20 @@ def _dm_dz(m, S):
 
     Differentiating m + 1/(z + Sm) = 0 in z, with 1/(z + Sm) = -m at a
     solution, gives J m' = m^2 for the Newton Jacobian J = I - diag(m^2) S.
-    Points are solved in blocks of NEWTON_BLOCK.  A singular J or a
-    non-finite m' raises SolveFailure.
+    Points are solved in blocks of NEWTON_BLOCK, each into one workspace
+    for m^2 and one for J.  A singular J or a non-finite m' raises
+    SolveFailure.
     """
     k = S.shape[0]
     dm = np.empty_like(m)
+    neg_s = -S
+    nb = min(m.shape[0], NEWTON_BLOCK)
+    m2_ws = np.empty((nb, k), dtype=complex)
+    jac_ws = np.empty((nb, k, k), dtype=complex)
     for lo in range(0, m.shape[0], NEWTON_BLOCK):
-        m2 = m[lo:lo + NEWTON_BLOCK] ** 2
-        jac = m2[:, :, None] * -S
+        n = min(NEWTON_BLOCK, m.shape[0] - lo)
+        m2 = np.square(m[lo:lo + n], out=m2_ws[:n])
+        jac = np.multiply(m2[:, :, None], neg_s, out=jac_ws[:n])
         jac.reshape(-1, k * k)[:, ::k + 1] += 1.0   # J = I - diag(m^2) S in place
         try:
             dm[lo:lo + NEWTON_BLOCK] = np.linalg.solve(jac, m2[:, :, None])[:, :, 0]

@@ -260,9 +260,12 @@ def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
 
 
 def er_rate_h(u: float) -> float:
-    """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity)."""
+    """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity,
+    h(inf) = inf, where the formula reads inf - inf)."""
     if not u >= 0:
         raise DomainError("h defined for u >= 0")
+    if u == math.inf:
+        return math.inf
     return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
 
 

@@ -38,6 +38,20 @@ def test_contract_values():
     assert rates.CHAOS_TOL == 1e-10
 
 
+def test_solver_search_sizes():
+    # the QVE solver's search sizes fix which points share a batched matmul
+    # and LAPACK call, and numpy rounds a row differently in batches of
+    # different sizes: they fix the batch composition, and so the output bits
+    assert qve.NEWTON_BLOCK == 1000
+    assert qve.COARSE_STRIDE == 8
+    assert qve.MAX_ITER == 100
+    assert qve.CONTINUATION_FACTOR == 16.0
+    assert qve.MIN_FACTOR == 1.05
+    assert qve.LEVEL_TOL == 1e-2
+    assert qve.GRID_POINTS == 4000
+    assert qve.GRID_ETA == 1e-3
+
+
 def test_cut_distance_sizes():
     # exact cut distance: the largest k, the stacked block, the pruning tile,
     # the incumbents and the pruning margin, with no option to change them

@@ -15,6 +15,7 @@ from qvelab.errors import (
     AsymmetricInput,
     DivisibilityError,
     DomainError,
+    EigFailure,
     PartMeasureMismatch,
 )
 from qvelab.kernels import Partition, StepKernel
@@ -170,6 +171,34 @@ class TestEsm:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInput):
             ensembles.esm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("case, symmetric", [
+        ("exact", True), ("within 1e-12", True), ("1e-9 apart", False),
+        ("nan entry", False), ("symmetric inf", True)])
+    def test_symmetry_decision_is_allclose(self, case, symmetric):
+        # esm accepts exactly what np.allclose(M, M.T) with atol 1e-12
+        # accepts, NaN and +-inf included
+        rng = np.random.default_rng(5)
+        M = rng.uniform(-1.0, 1.0, (4, 4))
+        M = M + M.T
+        if case == "within 1e-12":
+            M[0, 1] += 5e-13
+        elif case == "1e-9 apart":
+            M[0, 1] += 1e-9
+        elif case == "nan entry":
+            M[0, 1] = M[1, 0] = math.nan
+        elif case == "symmetric inf":
+            M[0, 1] = M[1, 0] = math.inf
+            M[2, 2] = -math.inf
+        assert np.allclose(M, M.T, atol=1e-12, rtol=0.0) == symmetric
+        try:
+            ensembles.esm(M)
+            rejected = False
+        except AsymmetricInput:
+            rejected = True
+        except EigFailure:   # accepted as symmetric; LAPACK fails on inf
+            rejected = False
+        assert rejected == (not symmetric)
 
 
 class TestEmpiricalKernel:

@@ -57,6 +57,78 @@ def reference_density(W, grid):
     return rho / mass, mass
 
 
+def _reference_sup_res(m, zd, S):
+    return np.abs(m + 1.0 / (zd + m @ S.T)).max(axis=1)
+
+
+def _reference_newton(m, zd, S, tol, stats=None):
+    """qve._newton as it was before its step reused workspaces, kept as the
+    bit-identity oracle: fresh temporaries on every step, a gather of the
+    live points on every step, and the halving set-up on every step.
+    ``stats`` optionally counts the halved trials under "halved"."""
+    eye = np.eye(S.shape[0])
+    res = _reference_sup_res(m, zd, S)
+    tol = np.zeros_like(res) + tol
+    todo = np.flatnonzero(~(res <= tol))
+    for lo in range(0, todo.size, qve.NEWTON_BLOCK):
+        idx = todo[lo:lo + qve.NEWTON_BLOCK]
+        mb, zb, rb, tb = m[idx], zd[idx], res[idx], tol[idx]
+        live = np.ones(idx.size, dtype=bool)
+        for _ in range(qve.MAX_ITER):
+            live &= ~(rb <= tb)
+            if not live.any():
+                break
+            a = np.flatnonzero(live)
+            ma, za, ra = mb[a], zb[a], rb[a]
+            inv = 1.0 / (za + ma @ S.T)
+            jac = eye - (inv * inv)[:, :, None] * S
+            try:
+                delta = np.linalg.solve(jac, -(ma + inv)[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                break
+            step = np.ones(a.size)
+            trial = ma + delta
+            rt = _reference_sup_res(trial, za, S)
+            ok = (rt < ra) & (trial.imag > 0).all(axis=1)
+            for _halving in range(40):
+                redo = np.flatnonzero(~ok)
+                if redo.size == 0:
+                    break
+                if stats is not None:
+                    stats["halved"] = stats.get("halved", 0) + redo.size
+                step[redo] *= 0.5
+                trial[redo] = ma[redo] + step[redo, None] * delta[redo]
+                rt[redo] = _reference_sup_res(trial[redo], za[redo], S)
+                ok[redo] = (rt[redo] < ra[redo]) & (trial[redo].imag > 0).all(axis=1)
+            mb[a[ok]], rb[a[ok]] = trial[ok], rt[ok]
+            live[a[~ok]] = False
+        m[idx], res[idx] = mb, rb
+    return m, res
+
+
+def _reference_dm_dz(m, S):
+    """qve._dm_dz with a fresh m^2 and J on every block."""
+    k = S.shape[0]
+    dm = np.empty_like(m)
+    for lo in range(0, m.shape[0], qve.NEWTON_BLOCK):
+        m2 = m[lo:lo + qve.NEWTON_BLOCK] ** 2
+        jac = m2[:, :, None] * -S
+        jac.reshape(-1, k * k)[:, ::k + 1] += 1.0
+        dm[lo:lo + qve.NEWTON_BLOCK] = np.linalg.solve(jac, m2[:, :, None])[:, :, 0]
+    return dm
+
+
+def seeded_kernel(rng, k):
+    """random_kernel, with one zero row when k is even."""
+    W = random_kernel(rng, k)
+    if k % 2:
+        return W
+    vals = W.values.copy()
+    r = int(rng.integers(k))
+    vals[r, :] = vals[:, r] = 0.0
+    return StepKernel(W.partition, vals)
+
+
 @st.composite
 def kernel_values(draw):
     """Symmetric values in [0, 4] of an equal-part kernel with k <= 8, some
@@ -166,6 +238,30 @@ class TestSolveQve:
         warm = qve.solve_qve(W, z, m0=qve.solve_qve(W, z + 0.0005j).m_values)
         assert np.abs(sol.m_values - warm.m_values).max() <= 1e-10
         assert np.abs(sol.m_values[0] + sol.m_values[1].conj()).max() <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(vals=kernel_values(), data=st.data())
+    def test_near_axis_contracts(self, vals, data):
+        """[PAPER] The domain in which solve_qve claims to converge: an
+        equal-part kernel with k <= 8 and values in [0, 4], zero rows
+        allowed, at z = x + i eta with eta in [1e-3, 1] and
+        |x| <= support_bound + 1.  Every solution it returns there has
+        residual <= 1e-12 and Im m > 0 (the Herglotz branch), and a point it
+        misses is reported by a typed NotConverged that names it."""
+        W = StepKernel(Partition.equal(vals.shape[0]), vals)
+        b = qve.support_bound(W)
+        n = data.draw(st.integers(1, 8))
+        x = data.draw(st.lists(st.floats(-b - 1.0, b + 1.0), min_size=n, max_size=n))
+        log_eta = data.draw(st.lists(st.floats(-3.0, 0.0), min_size=n, max_size=n))
+        z = np.array(x) + 1j * 10.0 ** np.array(log_eta)
+        try:
+            sol = qve.solve_qve(W, z)
+        except NotConverged as exc:
+            assert exc.exit_code == 1
+            assert exc.points and set(exc.points) <= set(z.tolist())
+            return
+        assert sol.residuals.max() <= 1e-12
+        assert (sol.m_values.imag > 0).all()
 
     def test_uniqueness_two_initializations(self):
         # uniqueness proxy: default start -1/z vs warm start i*ones
@@ -308,6 +404,60 @@ class TestDmDz:
     def test_non_finite_derivative_raises(self):
         with pytest.raises(SolveFailure):
             qve._dm_dz(np.array([[complex(np.nan, 1.0)]]), np.array([[1.0]]))
+
+
+class TestNewtonBitIdentity:
+    """qve._newton and qve._dm_dz reuse workspaces; the reference functions
+    above allocate afresh.  The rows each matmul and solve sees are the same,
+    so the output is the same to the bit."""
+
+    @pytest.mark.parametrize("max_iter", [2, 100])
+    def test_newton_matches_reference(self, monkeypatch, max_iter):
+        # MAX_ITER = 2 leaves points unconverged, so their iterates are
+        # compared too; the start i*ones near the axis forces halving
+        monkeypatch.setattr(qve, "MAX_ITER", max_iter)
+        rng = np.random.default_rng(18)
+        stats, unconverged = {}, 0
+        for k in range(1, 9):
+            W = seeded_kernel(rng, k)
+            S = qve._coupling_matrix(W)
+            b = qve.support_bound(W)
+            n = qve.NEWTON_BLOCK + 37 if k == 3 else 200
+            for eta in (1e-1, 1e-2, 1e-3):
+                z = np.sort(rng.uniform(-b - 1.0, b + 1.0, n)) + 1j * eta
+                zd = z[:, None] + rng.uniform(-0.1, 0.1, k) * (k > 4)
+                per_point = np.where(rng.random(n) < 0.5, qve.LEVEL_TOL, qve.RESIDUAL_TOL)
+                for m0, tol in ((1j * np.ones((n, k)), qve.RESIDUAL_TOL),
+                                (-1.0 / zd, per_point)):
+                    want = _reference_newton(m0.copy(), zd, S, tol, stats)
+                    got = qve._newton(m0.copy(), zd, S, tol)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+                    unconverged += int(np.sum(~(want[1] <= tol)))
+        assert stats["halved"] > 0
+        assert unconverged > 0 or max_iter > 2
+
+    def test_measure_matches_reference(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        cases = [(seeded_kernel(rng, k), None) for k in range(1, 9)]
+        zero_row = StepKernel(Partition.equal(2), [[0.0, 0.0], [0.0, 4.0]])
+        cases.append((zero_row, grid_around(zero_row, 1e-3, 5e-4)))
+
+        def densities():
+            out = []
+            for W, grid in cases:
+                try:
+                    out.append(qve.qve_measure(W, grid).density.tobytes())
+                except GridTooNarrow as exc:
+                    out.append(str(exc))
+            return out
+
+        got = densities()
+        monkeypatch.setattr(qve, "_newton", _reference_newton)
+        monkeypatch.setattr(qve, "_dm_dz", _reference_dm_dz)
+        want = densities()
+        assert got == want
+        assert sum(isinstance(d, bytes) for d in got) >= 5
 
 
 class TestQveMeasure:

@@ -348,6 +348,11 @@ class TestErRateH:
             with pytest.raises(DomainError):
                 rates.er_rate_h(u)
 
+    def test_infinity(self):
+        # [DERIVED] u log u - u + 1 -> inf as u -> inf; the formula itself
+        # reads inf - inf = nan there (NaN input is test_negative's case)
+        assert rates.er_rate_h(math.inf) == math.inf
+
 
 class TestKAlpha:
     def test_round_trip(self):
