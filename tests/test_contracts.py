@@ -63,6 +63,20 @@ def test_cut_distance_sizes():
     assert list(inspect.signature(kernels.cut_distance).parameters) == ["W1", "W2"]
 
 
+def test_ensemble_block_sizes():
+    # the sampler's row block and the symmetry check's tile are constants with
+    # no option to change them; neither changes an output bit
+    assert ensembles.ROW_BLOCK == 1 << 15
+    assert ensembles.SYMMETRY_TILE == 128
+    assert list(inspect.signature(ensembles.sample_sparse_wigner).parameters) == [
+        "n", "p", "law", "seed"]
+    assert list(inspect.signature(ensembles.tilted_sample).parameters) == [
+        "n", "p", "law", "U", "seed"]
+    assert list(inspect.signature(ensembles.esm).parameters) == ["sample_or_matrix"]
+    assert list(inspect.signature(ensembles.save_sample_csv).parameters) == [
+        "sample", "path"]
+
+
 def test_one_algorithm_per_routine():
     # the cut norm is exact only, up to MAX_EXACT_CUTNORM parts, and the
     # inversion always extrapolates with the QVE derivative at eta

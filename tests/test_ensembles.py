@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,60 @@ from qvelab.rates import EntryLaw
 
 RADEMACHER = EntryLaw.rademacher()
 ZERO_ATOM = EntryLaw([-1.0, 0.0, 2.0], [1 / 3, 1 / 2, 1 / 6])
+
+
+# -- reference implementations: the whole-triangle sampler, the dense build and
+# the per-line CSV writer that the row-block code must reproduce bit for bit
+
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_INC = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _ref_mix64(x):
+    with np.errstate(over="ignore"):
+        x = (x ^ (x >> np.uint64(30))) * _M1
+        x = (x ^ (x >> np.uint64(27))) * _M2
+        return x ^ (x >> np.uint64(31))
+
+
+def _ref_entry_uniform(seed, i, j, stream):
+    with np.errstate(over="ignore"):
+        s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        h = _ref_mix64(s + _INC)
+        h = _ref_mix64(h ^ (np.asarray(i, dtype=np.uint64) * _M1 + _INC))
+        h = _ref_mix64(h ^ (np.asarray(j, dtype=np.uint64) * _M2 + _INC))
+        h = _ref_mix64(h ^ (np.uint64(stream) + _INC))
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _ref_draw(n, p, seed, support, block, p_edge, probs):
+    """(rows, cols, values) of the upper triangle drawn entry by entry."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    rows, cols = np.triu_indices(n, k=1)
+    keep = np.flatnonzero(_ref_entry_uniform(seed, rows, cols, 0)
+                          < p_edge[block[rows], block[cols]])
+    rows, cols = rows[keep], cols[keep]
+    u_val = _ref_entry_uniform(seed, rows, cols, 1)
+    idx = (u_val[:, None] >= cum[block[rows], block[cols]]).sum(1)
+    return rows, cols, support[idx]
+
+
+def _ref_dense(n, rows, cols, vals):
+    out = np.zeros((n, n))
+    out[rows, cols] = vals
+    return out + out.T
+
+
+def _ref_save_sample_csv(sample, path):
+    vals = sample.values / np.sqrt(sample.n * sample.p)
+    nz = vals != 0
+    text = "".join(f"{i},{j},{v!r}\n" for i, j, v in zip(
+        sample.rows[nz].tolist(), sample.cols[nz].tolist(), vals[nz].tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,value\n" + text)
+
 
 
 class TestSampleSparseWigner:
@@ -147,6 +202,92 @@ class TestSamplerProperties:
         assert s.edge_count == int(np.triu(s.mask, 1).sum())
 
 
+BIT_IDENTITY_CASES = [(n, k) for n in (1, 2, 3, 129, 1000)
+                      for k in (None, 1, 2, 5) if k is None or n % k == 0]
+
+
+class TestRowBlockBitIdentity:
+    """The row-block sampler, the two-triangle dense build and the block CSV
+    writer against the reference implementations above."""
+
+    @pytest.mark.parametrize("n, k", BIT_IDENTITY_CASES)
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+    def test_draw_matches_whole_triangle_reference(self, monkeypatch, n, k, p):
+        # k None: a plain draw; else a tilt towards a k-block kernel.  The
+        # reference draws from the tables the sampler passed to _draw
+        tables, real, default = [], ensembles._draw, ensembles.ROW_BLOCK
+        monkeypatch.setattr(ensembles, "_draw",
+                            lambda *args: tables.append(args) or real(*args))
+        rng = np.random.default_rng(n + (k or 0))
+        for seed in (0, 2 ** 64 - 1):
+            if k is None:
+                draw = lambda: ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, seed)
+            else:
+                vals = rng.uniform(0.2, 5.0, (k, k))
+                U = StepKernel(Partition.equal(k), np.triu(vals) + np.triu(vals, 1).T)
+                draw = lambda: ensembles.tilted_sample(n, p, ZERO_ATOM, U, seed)
+            draw()
+            rows, cols, values = _ref_draw(*tables[-1])
+            for row_block in (1, 7, n * n, default):
+                monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
+                s = draw()
+                assert s.rows.dtype == rows.dtype and s.cols.dtype == cols.dtype
+                assert np.array_equal(s.rows, rows)
+                assert np.array_equal(s.cols, cols)
+                assert s.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 123, 2 ** 64 - 1])
+    def test_entry_uniform_matches_reference(self, seed):
+        i = np.arange(0, 2000, dtype=np.uint64)
+        j = np.arange(1, 2001, dtype=np.uint64)[::-1]
+        for stream in (0, 1):
+            assert np.array_equal(ensembles.entry_uniform(seed, i, j, stream),
+                                  _ref_entry_uniform(seed, i, j, stream))
+            assert (float(ensembles.entry_uniform(seed, 3, 5, stream))
+                    == float(_ref_entry_uniform(seed, 3, 5, stream)))
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_dense_matches_reference(self, tilted):
+        n, p = 60, 0.3
+        if tilted:
+            U = StepKernel(Partition.equal(2), [[4.0, 1.0], [1.0, 0.5]])
+            s = ensembles.tilted_sample(n, p, ZERO_ATOM, U, 11)
+        else:
+            s = ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, 11)
+        scale = np.sqrt(n * p)
+        assert s.entries.tobytes() == _ref_dense(n, s.rows, s.cols, s.values / scale).tobytes()
+        assert s.raw.tobytes() == _ref_dense(n, s.rows, s.cols, s.values).tobytes()
+        assert s.mask.tobytes() == _ref_dense(n, s.rows, s.cols, np.ones(s.rows.size)).tobytes()
+
+    def test_dense_maps_negative_zero_like_the_sum(self):
+        rows, cols = np.array([0, 0, 1]), np.array([1, 2, 2])
+        vals = np.array([-0.0, math.nan, -1.5])
+        got = ensembles._dense(3, rows, cols, vals)
+        assert got.tobytes() == _ref_dense(3, rows, cols, vals).tobytes()
+        assert not np.signbit(got[0, 1]) and not np.signbit(got[1, 0])
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (2, 0.99), (129, 0.5), (1000, 0.01)])
+    def test_sample_csv_matches_reference(self, monkeypatch, tmp_path, n, p):
+        s = ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, 5)
+        _ref_save_sample_csv(s, tmp_path / "ref.csv")
+        want = (tmp_path / "ref.csv").read_bytes()
+        for row_block in (1, 7, n * n, ensembles.ROW_BLOCK):
+            monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
+            ensembles.save_sample_csv(s, tmp_path / "got.csv")
+            assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_sample_csv_special_values_match_reference(self, tmp_path):
+        # -0.0 is a zero and is left out, as the reference's vals != 0 does
+        s = ensembles.SparseWignerSample(
+            4, 0.5, np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3]),
+            np.array([-0.0, 0.5, math.nan, -1e-300, 0.5]), 0)
+        _ref_save_sample_csv(s, tmp_path / "ref.csv")
+        ensembles.save_sample_csv(s, tmp_path / "got.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b"0,1," not in got
+
+
 class TestEsm:
     def test_zero_matrix(self):
         # [TRIVIAL] delta_0
@@ -199,6 +340,37 @@ class TestEsm:
         except EigFailure:   # accepted as symmetric; LAPACK fails on inf
             rejected = False
         assert rejected == (not symmetric)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3,), (2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(AsymmetricInput, match="square") as exc:
+            ensembles.esm(np.zeros(shape))
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_tiled_symmetry_decision_is_allclose(self, n):
+        # the tile-pair check decides as np.allclose(M, M.T, atol 1e-12) at
+        # tile edges, in the last tile and on NaN and +-inf, and warns never
+        rng = np.random.default_rng(n)
+        M = rng.uniform(-1.0, 1.0, (n, n))
+        M = M + M.T
+        cases = []
+        # an off-diagonal tile, and the last tile off and on its diagonal
+        for i, j in [(0, n - 1), (n - 1, max(n - 2, 0)), (n - 1, n - 1)]:
+            for a, b, symmetric in [(M[j, i] + 1e-13, M[j, i], True),
+                                    (M[j, i] + 1e-9, M[j, i], i == j),
+                                    (math.nan, math.nan, False),
+                                    (math.inf, math.inf, True),
+                                    (-math.inf, -math.inf, True),
+                                    (math.inf, -math.inf, i == j)]:
+                X = M.copy()
+                X[j, i], X[i, j] = b, a
+                cases.append((X, symmetric))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X, symmetric in cases:
+                assert ensembles._is_symmetric(X) == symmetric
+                assert ensembles._is_symmetric(X) == np.allclose(X, X.T, atol=1e-12, rtol=0.0)
 
 
 class TestEmpiricalKernel:
