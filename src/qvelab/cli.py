@@ -61,7 +61,7 @@ def _load_measure(spec: str) -> measures.ProbMeasure1D:
     if spec == "semicircle":
         return qve.semicircle_reference()
     if spec.endswith(".json"):
-        return qve.qve_measure(kernels.load_kernel(spec))
+        return qve.QveMeasure(kernels.load_kernel(spec))
     return measures.load_measure_csv(spec)
 
 
@@ -195,7 +195,9 @@ def cmd_cutnorm(args):
 def cmd_verify(args):
     names = suites.GROUPS.get(args.suite, [args.suite])
     results = suites.run_suites(names, seed=args.seed, trials=args.trials)
-    rows = [{"suite": r.name, "trials": r.trials, "violations": r.violations}
+    rows = [{"suite": r.name, "trials": r.trials, "violations": r.violations,
+             "worst_margin": r.worst_margin, "worst_trial": r.worst_trial,
+             "elapsed_s": r.elapsed_s}
             for r in results]
     text = "".join(
         f"{r['suite']}: {r['violations']} violations / {r['trials']} trials\n"

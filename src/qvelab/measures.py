@@ -1,8 +1,10 @@
 """One-dimensional probability measures and the metrics used for spectra.
 
-Measures are either finite atomic (values + weights) or gridded (x, density,
-cdf).  ``metric_d`` evaluates the Stieltjes-transform metric on a fixed grid
-of points with Im z >= 2, so it is a certified lower bound of the sup metric;
+Measures are finite atomic (values + weights), gridded (x, density, cdf), or
+the QVE measure of a kernel (``qve.QveMeasure``), whose Stieltjes transform
+comes from the QVE solver and whose grid is inverted on first use.
+``metric_d`` evaluates the Stieltjes-transform metric on a fixed grid of
+points with Im z >= 2, so it is a certified lower bound of the sup metric;
 every inequality asserted against it therefore holds a fortiori.
 """
 
@@ -25,12 +27,13 @@ METRIC_D_GRID = (_D_RE[:, None] + 1j * _D_IM[None, :]).ravel()
 _BLOCK_ENTRIES = 1 << 15
 # midpoint quantile levels of a Wasserstein distance involving a grid measure
 QUANTILE_GRID = 10_000
-# grid-inversion slacks of the appendix inequalities (W2 <= sqrt(L1) and
-# d <= 2|E|), and the rounding slacks of d <= min(W1, KS) and of the
-# interlacing precondition |E| >= the measure where the kernels differ; they
-# are constants so that no call can loosen a check
+# the grid-inversion slack of W2 <= sqrt(L1); the rounding slacks of
+# d <= 2|E| (d of two QVE measures comes from the solver, within its
+# residual), of d <= min(W1, KS) and of the interlacing precondition
+# |E| >= the measure where the kernels differ; they are constants so that no
+# call can loosen a check
 HW_SLACK = 2e-3
-INTERLACING_SLACK = 1e-3
+INTERLACING_SLACK = 1e-9
 METRIC_SLACK = 1e-9
 INTERLACING_PRECONDITION_SLACK = 1e-12
 
@@ -52,7 +55,7 @@ def _trapezoid_weights(x) -> np.ndarray:
 class ProbMeasure1D:
     """Probability measure on R: atoms or a gridded density with CDF."""
 
-    kind: str                      # "atoms" | "grid"
+    kind: str                      # "atoms" | "grid" | "qve" (qve.QveMeasure)
     x: np.ndarray                  # atom locations or grid points
     w: np.ndarray | None = None    # atom weights
     density: np.ndarray | None = None
@@ -146,11 +149,18 @@ def _cumtrapz(y, x):
 
 
 def _stieltjes_at(mu: ProbMeasure1D, zs: np.ndarray) -> np.ndarray:
-    """m_mu at each of the points zs, a block of rows at a time.
+    """m_mu at each of the points zs.
 
-    With u = x - Re z and b = Im z, 1/(x - z) = (u + ib)/(u^2 + b^2), so each
-    block takes two real matrix-vector products against the weights.
+    A QVE measure answers with the solver's mean m(z) . lambda at zs, from its
+    kernel and not from a grid.  Atoms and grids are summed a block of rows
+    at a time: with u = x - Re z and b = Im z, 1/(x - z) = (u + ib)/(u^2 +
+    b^2), so each block takes two real matrix-vector products against the
+    weights.
     """
+    if mu.kind == "qve":
+        from . import qve
+
+        return qve.solve_qve(mu.kernel, zs).average()
     c = mu.w if mu.kind == "atoms" else _trapezoid_weights(mu.x) * mu.density
     out = np.empty(zs.size, dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // mu.x.size)
@@ -233,10 +243,11 @@ def hw_check(W, W_prime, grid=None) -> CheckReport:
                        {"slack": HW_SLACK})
 
 
-def interlacing_check(W, W_prime, E_measure: float, grid=None) -> CheckReport:
+def interlacing_check(W, W_prime, E_measure: float) -> CheckReport:
     """Kernel interlacing: metric_d of the spectral measures is at most twice
-    the measure of the part set where the kernels differ, up to the
-    inversion slack INTERLACING_SLACK."""
+    the measure of the part set where the kernels differ, up to the rounding
+    slack INTERLACING_SLACK.  d compares the two kernels' QVE solutions on
+    METRIC_D_GRID directly, so no measure is inverted."""
     from . import qve
 
     a, b = W, W_prime
@@ -256,7 +267,7 @@ def interlacing_check(W, W_prime, E_measure: float, grid=None) -> CheckReport:
         raise PreconditionViolated(
             f"kernels differ on measure {measure_diff} > E_measure {E_measure}"
         )
-    lhs = metric_d(qve.qve_measure(a, grid), qve.qve_measure(b, grid))
+    lhs = metric_d(qve.QveMeasure(a), qve.QveMeasure(b))
     rhs = 2.0 * E_measure
     return CheckReport(lhs, rhs + INTERLACING_SLACK,
                        lhs <= rhs + INTERLACING_SLACK,

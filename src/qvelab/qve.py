@@ -25,10 +25,15 @@ coarse spacing resolves, fall back to the continuation inside ``solve_qve``.
 The density is extrapolated to eta -> 0 with the derivative dm/dz, which the
 same stability makes one linear solve per point at the eta solution, so the
 grid is Newton-solved once.
+
+``QveMeasure`` is the QVE measure as a ``ProbMeasure1D``: its Stieltjes
+transform at Im z > 0 is the mean m(z) . lambda of one solve, which needs no
+inversion, and its grid is ``qve_measure`` on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,6 +351,41 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1
             + (" and ".join(remedies) or "widen the grid")
         )
     return ProbMeasure1D.from_grid(x, rho)
+
+
+class QveMeasure(ProbMeasure1D):
+    """The QVE measure of the kernel W, a ``ProbMeasure1D`` of kind "qve".
+
+    Its Stieltjes transform is the solver's mean mbar(z) = m(z) . lambda, so
+    ``measures._stieltjes_at``, and with it ``metric_d``, solves the QVE at
+    the asked points and inverts nothing.  Its grid (x, density, CDF, and so
+    quantiles and moments) is ``qve_measure(W)`` on W's default grid, built
+    the first time something reads it.  ``kernel`` is W.
+    """
+
+    kind = "qve"
+
+    def __init__(self, W: StepKernel):
+        object.__setattr__(self, "kernel", W)
+
+    def __repr__(self):
+        return f"QveMeasure({self.kernel!r})"
+
+    @functools.cached_property
+    def _grid(self) -> ProbMeasure1D:
+        return qve_measure(self.kernel)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._grid.x
+
+    @property
+    def density(self) -> np.ndarray:
+        return self._grid.density
+
+    @property
+    def cdf_values(self) -> np.ndarray:
+        return self._grid.cdf_values
 
 
 def semicircle_density(x) -> np.ndarray:

@@ -395,16 +395,16 @@ class RateSearchResult:
 
 def rate_upper_bound(law: EntryLaw, target, family,
                      tol: float) -> RateSearchResult:
-    """Search a finite kernel family for the cheapest one whose QVE measure,
-    inverted on its default grid, lands within tol of the target (an upper
-    bound on the rate, never claimed as the infimum)."""
+    """Search a finite kernel family for the cheapest one whose QVE measure
+    lies within tol of the target in metric_d (an upper bound on the rate,
+    never claimed as the infimum).  Each member's side of the distance comes
+    from its QVE solution, so no member is inverted."""
     from . import qve
     from .measures import metric_d
 
     best = None
     for W in family:
-        mu = qve.qve_measure(W)
-        dist = metric_d(mu, target)
+        dist = metric_d(qve.QveMeasure(W), target)
         if dist > tol:
             continue
         H = kernel_entropy(law, W)

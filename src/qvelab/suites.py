@@ -5,13 +5,15 @@ Every suite runs through one harness, ``_run``: it seeds one
 trial.  A trial draws its random inputs, runs one check and returns a
 ``CheckReport``; the trial is a violation unless ``report.holds`` (so a NaN
 ``lhs`` is a violation), and each violation adds ``(t, lhs, rhs)`` to
-``SuiteResult.details``.  The CLI ``verify`` subcommand and the acceptance
-tests both run these; ``GROUPS`` names the suite lists ``verify --suite``
-accepts besides single suite names.
+``SuiteResult.details``.  The harness also keeps the worst margin lhs/rhs,
+the trial it came from and the suite's wall time.  The CLI ``verify``
+subcommand and the acceptance tests both run these; ``GROUPS`` names the
+suite lists ``verify --suite`` accepts besides single suite names.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,9 @@ class SuiteResult:
     name: str
     trials: int
     violations: int
+    worst_margin: float     # max lhs/rhs over the trials; NaN if any is NaN
+    worst_trial: int        # the first trial that reached worst_margin
+    elapsed_s: float        # wall time of the trials
     details: list = field(default_factory=list)
 
     @property
@@ -43,17 +48,29 @@ class SuiteResult:
         return self.violations == 0
 
 
+def _margin(rep: CheckReport) -> float:
+    """lhs/rhs of a report; 0/0 reads 0 and a positive lhs over 0 reads inf."""
+    if rep.rhs == 0:
+        return 0.0 if rep.lhs == 0 else np.inf
+    return rep.lhs / rep.rhs
+
+
 def _run(name, seed, trials, trial) -> SuiteResult:
     """Call ``trial(rng)`` ``trials`` times on one RNG seeded with ``seed``."""
     if trials < 1:
         raise ValueError(f"{name}: trials must be >= 1, got {trials}")
+    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     details = []
+    margins = np.empty(trials)
     for t in range(trials):
         rep = trial(rng)
+        margins[t] = _margin(rep)
         if not rep.holds:
             details.append((t, rep.lhs, rep.rhs))
-    return SuiteResult(name, trials, len(details), details)
+    worst = int(np.argmax(margins))   # argmax takes the first NaN, if any
+    return SuiteResult(name, trials, len(details), float(margins[worst]), worst,
+                       time.perf_counter() - start, details)
 
 
 def _random_kernel(rng, k) -> kernels.StepKernel:
@@ -125,8 +142,8 @@ def degree_bound_suite(seed=0, trials=200) -> SuiteResult:
 
 
 def _coarse_grid(W) -> qve.SpectralGrid:
-    """Inversion grid for the inequality suites: 1000 points keeps each trial
-    fast while the asserted bounds have >= 1e-3 slack."""
+    """Inversion grid of the Hoeffding-Wielandt suite: 1000 points keeps each
+    trial fast while the asserted bound has HW_SLACK = 2e-3 slack."""
     b = qve.support_bound(W)
     return qve.SpectralGrid(-b - 1.0, b + 1.0, 1000, 1e-3)
 
@@ -141,7 +158,7 @@ def interlacing_suite(seed=0, trials=200) -> SuiteResult:
         vals[i, :] = new_row
         vals[:, i] = new_row
         Wp = kernels.StepKernel(W.partition, vals)
-        return measures.interlacing_check(W, Wp, 0.25, grid=_coarse_grid(W))
+        return measures.interlacing_check(W, Wp, 0.25)
     return _run("interlacing", seed, trials, trial)
 
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import qvelab
-from qvelab import cli, ensembles, kernels, measures
+from qvelab import cli, ensembles, kernels, measures, qve, suites
 from qvelab.kernels import Partition, StepKernel
 
 SRC = str(Path(qvelab.__file__).resolve().parents[1])
@@ -89,6 +89,22 @@ class TestExitCodes:
         assert code == 0
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["passed"] is True
+
+    def test_verify_summary_explains_each_suite(self, tmp_path, capsys):
+        # stderr carries each suite's worst margin, its trial and wall time;
+        # the --out file keeps its one line per suite
+        out = tmp_path / "verify.txt"
+        code, _, err = run(["verify", "--suite", "identities", "--seed", "7",
+                            "--trials", "10", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_text() == "schur_ward: 0 violations / 10 trials\n"
+        (row,) = json.loads(err.strip().splitlines()[-1])["suites"]
+        res = suites.schur_ward_suite(seed=7, trials=10)
+        assert row.pop("elapsed_s") >= 0.0
+        assert row == {"suite": "schur_ward", "trials": 10, "violations": 0,
+                       "worst_margin": res.worst_margin,
+                       "worst_trial": res.worst_trial}
+        assert 0.0 < res.worst_margin <= 1.0
 
     def test_negative_max_order_exits_2(self, const1_kernel, capsys):
         code, out, err = run(
@@ -524,6 +540,58 @@ class TestSubcommands:
         assert code == 0
         val = json.loads(out)["value"]
         assert 0.0 <= val <= 1.0
+
+    @pytest.fixture()
+    def kernel_pair(self, tmp_path):
+        vals = np.array([[2.0, 0.5, 1.0], [0.5, 1.0, 3.0], [1.0, 3.0, 0.25]])
+        Wa = StepKernel(Partition.equal(3), vals)
+        vals = vals.copy()
+        vals[1, :] = vals[:, 1] = [0.75, 2.5, 1.5]
+        Wb = StepKernel(Partition.equal(3), vals)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        kernels.save_kernel(Wa, a)
+        kernels.save_kernel(Wb, b)
+        return Wa, Wb, str(a), str(b)
+
+    def test_compare_kernels_d_inverts_nothing(self, kernel_pair, tmp_path,
+                                               inversions, capsys):
+        # d of two kernel operands compares their QVE solutions directly
+        Wa, Wb, a, b = kernel_pair
+        out = tmp_path / "d.json"
+        code, _, _ = run(["compare", "--a", a, "--b", b, "--metric", "d",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        assert inversions == []
+        d = np.abs(qve.solve_qve(Wa, measures.METRIC_D_GRID).average()
+                   - qve.solve_qve(Wb, measures.METRIC_D_GRID).average()).max()
+        assert out.read_text() == json.dumps({"metric": "d", "value": float(d)})
+
+    @pytest.mark.parametrize("metric, distance", [
+        ("ks", measures.ks_distance),
+        ("w1", lambda mu, nu: measures.wasserstein(mu, nu, 1)),
+        ("w2", lambda mu, nu: measures.wasserstein(mu, nu, 2))])
+    def test_compare_kernels_ks_w_invert_each_once(self, kernel_pair, tmp_path,
+                                                   metric, distance, inversions,
+                                                   capsys):
+        # KS and Wasserstein read the inverted grids: the output is the
+        # distance of the two qve_measure grid measures, byte for byte
+        Wa, Wb, a, b = kernel_pair
+        want = json.dumps({"metric": metric, "value": distance(
+            qve.qve_measure(Wa), qve.qve_measure(Wb))})
+        inversions.clear()
+        out = tmp_path / f"{metric}.json"
+        code, _, _ = run(["compare", "--a", a, "--b", b, "--metric", metric,
+                          "--out", str(out)], capsys)
+        assert code == 0
+        assert [W.values.tobytes() for W in inversions] == [
+            Wa.values.tobytes(), Wb.values.tobytes()]
+        assert out.read_text() == want
+
+    def test_verify_interlacing_inverts_nothing(self, inversions, capsys):
+        code, _, _ = run(["verify", "--suite", "interlacing", "--trials", "10"],
+                         capsys)
+        assert code == 0
+        assert inversions == []
 
     def test_tilt(self, tmp_path, capsys):
         k = tmp_path / "u.json"

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from qvelab import measures, qve
+from qvelab import measures, qve, rates
 from qvelab.errors import PartitionMismatch, PreconditionViolated
 from qvelab.kernels import Partition, StepKernel
 from qvelab.measures import ProbMeasure1D
@@ -277,6 +280,88 @@ class TestInterlacingCheck:
         with pytest.raises(PartitionMismatch):
             measures.interlacing_check(StepKernel.constant(1.0, 2),
                                        StepKernel.constant(1.0, 3), 1.0)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two kernels on k <= 4 equal parts, the second equal to the first off
+    one part's row and column.  Entries in [0.25, 4] keep every part's degree
+    away from 0: there the default grid under-resolves the spike of the
+    density at 0, and the grid side of a comparison would measure that."""
+    k = draw(st.integers(1, 4))
+    vals = draw(arrays(float, (k, k), elements=st.floats(0.25, 4.0)))
+    vals = 0.5 * (vals + vals.T)
+    other = vals.copy()
+    i = draw(st.integers(0, k - 1))
+    other[i, :] = other[:, i] = draw(arrays(float, k, elements=st.floats(0.25, 4.0)))
+    part = Partition.equal(k)
+    return StepKernel(part, vals), StepKernel(part, other)
+
+
+@st.composite
+def relabelled_kernels(draw):
+    """A kernel on k <= 8 equal parts, some rows possibly zero, and the same
+    kernel with its parts permuted."""
+    k = draw(st.integers(1, 8))
+    vals = draw(arrays(float, (k, k), elements=st.floats(0.0, 4.0)))
+    vals = 0.5 * (vals + vals.T)
+    zero = draw(arrays(bool, k))
+    vals[zero, :] = vals[:, zero] = 0.0
+    sigma = np.array(draw(st.permutations(range(k))))
+    part = Partition.equal(k)
+    return StepKernel(part, vals), StepKernel(part, vals[np.ix_(sigma, sigma)])
+
+
+class TestQveMeasureKind:
+    """A QVE measure answers Stieltjes transforms from its kernel's QVE
+    solution and inverts only when its grid is read."""
+
+    def test_grid_is_qve_measure_on_first_read(self, inversions):
+        W = StepKernel(Partition.equal(2), [[2.0, 0.5], [0.5, 1.0]])
+        mu = qve.QveMeasure(W)
+        assert mu.kind == "qve" and mu.kernel is W
+        assert mu.stieltjes(0.5 + 2j) == qve.solve_qve(W, [0.5 + 2j]).average()[0]
+        assert inversions == []
+        ref = qve.qve_measure(W)
+        inversions.clear()
+        for name in ("x", "density", "cdf_values"):
+            assert getattr(mu, name).tobytes() == getattr(ref, name).tobytes()
+        assert mu.moment(4) == ref.moment(4)
+        t = np.linspace(0.0, 1.0, 7)
+        assert mu.quantile(t).tobytes() == ref.quantile(t).tobytes()
+        assert mu.cdf(t).tobytes() == ref.cdf(t).tobytes()
+        assert len(inversions) == 1      # the grid is built once
+
+    def test_interlacing_and_rate_bound_invert_nothing(self, inversions):
+        W = StepKernel.constant(1.0, 4)
+        vals = np.ones((4, 4))
+        vals[0, :] = vals[:, 0] = 2.0
+        assert measures.interlacing_check(W, StepKernel(W.partition, vals), 0.25).holds
+        rates.rate_upper_bound(rates.EntryLaw.rademacher(),
+                               qve.semicircle_reference(),
+                               [StepKernel.constant(c) for c in (0.5, 1.0)], tol=0.01)
+        assert inversions == []
+
+    @settings(max_examples=20, deadline=None)
+    @given(pair=kernel_pairs())
+    def test_d_is_the_solver_difference(self, pair):
+        # [DERIVED] d of two QVE measures is max |mbar_W - mbar_W'| over
+        # METRIC_D_GRID from two solves, bit for bit, and the d of the two
+        # inverted grids approximates it
+        W, Wp = pair
+        d = measures.metric_d(qve.QveMeasure(W), qve.QveMeasure(Wp))
+        direct = np.abs(qve.solve_qve(W, measures.METRIC_D_GRID).average()
+                        - qve.solve_qve(Wp, measures.METRIC_D_GRID).average()).max()
+        assert d == float(direct)
+        grid_d = measures.metric_d(qve.qve_measure(W), qve.qve_measure(Wp))
+        assert abs(d - grid_d) <= 1e-4
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair=relabelled_kernels())
+    def test_relabelling_invariance(self, pair):
+        # [PAPER] a permutation of the parts leaves the QVE measure as it is
+        W, Ws = pair
+        assert measures.metric_d(qve.QveMeasure(W), qve.QveMeasure(Ws)) <= 1e-12
 
 
 class TestCsvRoundTrip:

@@ -20,6 +20,21 @@ class TestRun:
         assert res.details[0] == (1, 3.0, 2.0)
         t, lhs, rhs = res.details[1]
         assert t == 2 and math.isnan(lhs) and rhs == 2.0
+        # a NaN margin is the worst one
+        assert math.isnan(res.worst_margin) and res.worst_trial == 2
+        assert res.elapsed_s >= 0.0
+
+    def test_worst_margin(self):
+        reports = iter([CheckReport(1.0, 2.0, True),
+                        CheckReport(3.0, 2.0, False),
+                        CheckReport(0.0, 0.0, True),
+                        CheckReport(3.0, 2.0, False)])
+        res = suites._run("toy", 0, 4, lambda rng: next(reports))
+        assert (res.worst_margin, res.worst_trial) == (1.5, 1)
+        zero = suites._run("toy", 0, 2, lambda rng: CheckReport(0.0, 0.0, True))
+        assert (zero.worst_margin, zero.worst_trial) == (0.0, 0)
+        over = suites._run("toy", 0, 1, lambda rng: CheckReport(1e-300, 0.0, False))
+        assert over.worst_margin == math.inf
 
     def test_rejects_nonpositive_trials(self):
         for trials in (0, -3):
