@@ -2,10 +2,10 @@
 
 Subpackages
 -----------
-kernels    step kernels, cut norm, cut distance, regularity checks
+kernels    step kernels, cut norm, cut distance
 qve        quadratic vector equation solver and Stieltjes inversion
 trees      rooted planar trees, homomorphism densities, moments
-rates      cumulant / Legendre machinery, entropy, closed-form bounds
+rates      cumulant / Legendre machinery, entropy, tilting exponents
 ensembles  sparse Wigner sampling, tilting, spectra, resolvent identities
 measures   1-D probability measures and the three spectral metrics
 suites     randomized identity / inequality verification suites

@@ -31,7 +31,7 @@ from .errors import (
     PartMeasureMismatch,
     SolveFailure,
 )
-from .kernels import StepKernel, kernel_from_graph
+from .kernels import StepKernel
 from .measures import ProbMeasure1D
 from .rates import EntryLaw, cgf_L, h_L_prime
 
@@ -258,11 +258,6 @@ def esm(sample_or_matrix) -> ProbMeasure1D:
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     return ProbMeasure1D.from_atoms(ev)
-
-
-def empirical_kernel(sample: SparseWignerSample) -> StepKernel:
-    """Kernel of the realized weighted graph: values xi_ij A_ij^2 / p."""
-    return kernel_from_graph(sample.raw ** 2, sample.p)
 
 
 def resolvent(M, z) -> np.ndarray:

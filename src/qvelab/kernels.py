@@ -2,8 +2,8 @@
 
 A step kernel is a symmetric function on (0,1]^2 that is constant on products
 of partition parts.  All kernel computations in the package run through this
-representation; boundaries constructed from graphs are kept as exact rationals
-so equal-measure checks never drift.
+representation; equal partitions keep exact rational boundaries so
+equal-measure checks never drift.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,14 +171,6 @@ def degree_function(W: StepKernel) -> np.ndarray:
     return W.values @ W.partition.part_measures
 
 
-def truncate_by_degree(W: StepKernel, C: float) -> StepKernel:
-    """Zero rows/columns whose degree exceeds C (same partition)."""
-    if C < 0:
-        raise ValueError("C must be >= 0")
-    keep = (degree_function(W) <= C).astype(float)
-    return StepKernel(W.partition, W.values * np.outer(keep, keep), signed=W.signed)
-
-
 def _overlap_matrix(p_out: Partition, p_in: Partition) -> np.ndarray:
     """O[i, a] = Lebesgue measure of (out part i) & (in part a)."""
     bo = np.concatenate(([0.0], [float(b) for b in p_out.boundaries]))
@@ -230,20 +221,6 @@ def relabel(W: StepKernel, sigma) -> StepKernel:
     if not W.partition.is_equal_measure():
         raise PartMeasureMismatch("relabelling requires equal part measures")
     return StepKernel(W.partition, W.values[np.ix_(sigma, sigma)], signed=W.signed)
-
-
-def kernel_from_graph(adjacency, p: float) -> StepKernel:
-    """Kernel of an edge-weighted graph: equal n-part partition, values a_ij / p."""
-    a = np.array(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency must be square")
-    if not np.array_equal(a, a.T):
-        raise AsymmetricInput("adjacency must be symmetric")
-    if np.any(a < 0):
-        raise ValueError("adjacency entries must be nonnegative")
-    if not (0 < p < 1):
-        raise ValueError("p must lie in (0,1)")
-    return StepKernel(Partition.equal(a.shape[0]), a / p)
 
 
 def l1_norm(W: StepKernel) -> float:
@@ -426,76 +403,6 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
     full = full_scores(alive, cut)
     best = int(np.argmin(full))
     return CutDistance(float(full[best]), tuple(int(i) for i in P[alive[best]]))
-
-
-# ---------------------------------------------------------------------------
-# upper regularity
-
-MAX_EXACT_REGULARITY = 8  # Bell(8) = 4140 groupings of 8 parts
-
-
-@dataclass
-class RegularityReport:
-    passed: bool
-    tested_partitions: int
-    violation: tuple | None  # (eps, grouping, mass) of the first violation
-
-
-def _set_partitions(n: int):
-    """All set partitions of range(n), as lists of index lists."""
-    if n == 0:
-        yield []
-        return
-    for rest in _set_partitions(n - 1):
-        elem = n - 1
-        for i in range(len(rest)):
-            yield rest[:i] + [rest[i] + [elem]] + rest[i + 1:]
-        yield rest + [[elem]]
-
-
-def _group_average(W: StepKernel, groups):
-    """Measure-weighted averages of W over each pair of groups of its parts,
-    with the groups' measures."""
-    mu = W.partition.part_measures
-    sizes = np.array([mu[g].sum() for g in groups])
-    block = np.empty((len(groups), len(groups)))
-    for i, gi in enumerate(groups):
-        for j, gj in enumerate(groups):
-            block[i, j] = (mu[gi] @ W.values[np.ix_(gi, gj)] @ mu[gj]) / (
-                sizes[i] * sizes[j]
-            )
-    return block, sizes
-
-
-def upper_regularity_check(W: StepKernel, eta: float, K,
-                           eps_list) -> RegularityReport:
-    """Test the upper-regularity mass condition over every partition.
-
-    For each grouping P of the parts (groups of measure >= eta) and each eps,
-    checks that the mass of the P-stepped kernel above K[eps] is at most eps.
-    The family is exhaustive, so W may have at most MAX_EXACT_REGULARITY parts.
-    """
-    if not W.partition.is_equal_measure():
-        raise PartMeasureMismatch("upper regularity check expects equal parts")
-    n = W.k
-    if n > MAX_EXACT_REGULARITY:
-        raise ExactTooLarge(f"upper regularity check limited to "
-                            f"k <= {MAX_EXACT_REGULARITY}, got {n}")
-    min_size = max(1, math.ceil(eta * n - 1e-12))
-    candidates = [p for p in _set_partitions(n)
-                  if all(len(g) >= min_size for g in p)]
-
-    tested = 0
-    for groups in candidates:
-        block, sizes = _group_average(W, groups)
-        wt = np.outer(sizes, sizes)
-        tested += 1
-        for eps in eps_list:
-            mass = float((block * wt)[block > K[eps]].sum())
-            if mass > eps + _TOL:
-                return RegularityReport(False, tested,
-                                        (eps, [list(g) for g in groups], mass))
-    return RegularityReport(True, tested, None)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ HW_SLACK = 2e-3
 INTERLACING_SLACK = 1e-9
 METRIC_SLACK = 1e-9
 INTERLACING_PRECONDITION_SLACK = 1e-12
+# points of hw_check's inversion grid, the grid HW_SLACK is sized for
+HW_GRID_POINTS = 1000
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -51,9 +53,13 @@ def _trapezoid_weights(x) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbMeasure1D:
-    """Probability measure on R: atoms or a gridded density with CDF."""
+    """Probability measure on R: atoms or a gridded density with CDF.
+
+    ``==`` is identity and ``hash`` is the object's, so neither compares
+    arrays nor makes a QVE measure build its grid.
+    """
 
     kind: str                      # "atoms" | "grid" | "qve" (qve.QveMeasure)
     x: np.ndarray                  # atom locations or grid points
@@ -64,12 +70,17 @@ class ProbMeasure1D:
     @classmethod
     def from_atoms(cls, values, weights=None) -> "ProbMeasure1D":
         v = np.asarray(values, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"atom values must be 1-D, got shape {v.shape}")
         if v.size == 0:
             raise ValueError("no atoms")
         if weights is None:
             w = np.full(v.size, 1.0 / v.size)
         else:
             w = np.asarray(weights, dtype=float)
+            if w.shape != v.shape:
+                raise ValueError(f"weights of shape {w.shape} do not match "
+                                 f"atom values of shape {v.shape}")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         total = w.sum()
@@ -194,7 +205,7 @@ def ks_distance(mu: ProbMeasure1D, nu: ProbMeasure1D) -> float:
     return float(max(d_right.max(), d_left.max()))
 
 
-def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int = 1) -> float:
+def wasserstein(mu: ProbMeasure1D, nu: ProbMeasure1D, order: int) -> float:
     """1-D L^p Wasserstein distance via quantile functions.
 
     Atom pairs integrate exactly over merged CDF levels; anything involving a
@@ -230,13 +241,16 @@ def metric_inequality_check(mu: ProbMeasure1D, nu: ProbMeasure1D) -> CheckReport
 # appendix inequalities on QVE measures (lazy import avoids a module cycle)
 
 
-def hw_check(W, W_prime, grid=None) -> CheckReport:
+def hw_check(W, W_prime) -> CheckReport:
     """Hoeffding/Wielandt-style bound: W2 of the spectral measures is at most
     sqrt of the L1 distance of the kernels, up to the inversion slack
-    HW_SLACK."""
+    HW_SLACK.  Both kernels are inverted on one grid of HW_GRID_POINTS points
+    at Im z = GRID_ETA over +-(b + 1), b the larger of their support bounds."""
     from . import kernels as kmod
     from . import qve
 
+    b = max(qve.support_bound(W), qve.support_bound(W_prime))
+    grid = qve.SpectralGrid(-b - 1.0, b + 1.0, HW_GRID_POINTS, qve.GRID_ETA)
     lhs = wasserstein(qve.qve_measure(W, grid), qve.qve_measure(W_prime, grid), 2)
     rhs = float(np.sqrt(kmod.l1_norm(W.sub(W_prime))))
     return CheckReport(lhs, rhs + HW_SLACK, lhs <= rhs + HW_SLACK,

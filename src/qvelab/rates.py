@@ -1,5 +1,5 @@
 """Rate-function machinery: cumulant function, Legendre conjugate, kernel
-entropy, tilting exponents and the closed-form probabilistic bounds.
+entropy and tilting exponents.
 
 The entry law is a finite discrete distribution with mean 0 and variance 1,
 which makes the cumulant function L(theta) = E exp(theta A^2) - 1 and the
@@ -18,7 +18,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .kernels import StepKernel
 
 _TOL = 1e-12
 K_ALPHA_PSI_TOL = 1e-10     # |psi(u) - alpha/eps| that ends the k_alpha search
-CHAOS_TOL = 1e-10           # bracket width that ends the chaos_exponent search
 
 
 @dataclass(frozen=True)
@@ -259,16 +257,6 @@ def kernel_entropy(law: EntryLaw, W: StepKernel) -> float:
     return 0.5 * math.fsum(sorted(terms))
 
 
-def er_rate_h(u: float) -> float:
-    """Erdos-Renyi rate h(u) = u log u - u + 1 (h(0) = 1 by continuity,
-    h(inf) = inf, where the formula reads inf - inf)."""
-    if not u >= 0:
-        raise DomainError("h defined for u >= 0")
-    if u == math.inf:
-        return math.inf
-    return float((u * math.log(u) if u > 0 else 0.0) - u + 1.0)
-
-
 @np.errstate(over="ignore")
 def k_alpha(law: EntryLaw, alpha: float, eps: float) -> float:
     """Threshold K_alpha(eps): the unique u >= 1 with h_L(u)/u = alpha/eps,
@@ -311,79 +299,6 @@ def k_alpha(law: EntryLaw, alpha: float, eps: float) -> float:
         else:
             hi = mid
     return float(_L_derivative(law, mid, 1))
-
-
-class BennettBound(NamedTuple):
-    bound: float
-    weak_bound: float
-
-
-def dependent_bennett_bound(lam: float, a: float, t: float) -> BennettBound:
-    """Tail bound exp(-(lam/a) h(t/lam)) for dependent sums, with the weaker
-    exp(-(t/a) log(t/3 lam)) alongside for reference."""
-    if not (lam > 0 and a > 0):
-        raise DomainError("lam and a must be positive")
-    if not lam < t < math.inf:
-        raise DomainError("t must be finite and exceed lam")
-    strong = math.exp(-(lam / a) * er_rate_h(t / lam))
-    weak = math.exp(-(t / a) * math.log(t / (3.0 * lam)))
-    return BennettBound(strong, min(weak, 1.0) if t <= 3.0 * lam else weak)
-
-
-def chaos_exponent(x: float) -> float:
-    """h~(x) = sup_{theta >= 0} {theta x - (exp(theta^2) - 1)}.
-
-    The objective is unimodal in theta; maximized by golden-section search
-    down to a bracket of width CHAOS_TOL.  Finite at every finite x >= 0
-    below about 6.8e306, where h~(x) itself passes the float range and
-    reads inf.
-    """
-    if not 0 <= x < math.inf:
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if x == 0:
-        return 0.0
-
-    def obj(theta):
-        return theta * x - (math.exp(theta ** 2) - 1.0)
-
-    # the stationary point solves 2 theta exp(theta^2) = x, and the left side
-    # is >= x at theta = sqrt(max(1, log x)), where exp(theta^2) = max(e, x)
-    # cannot overflow
-    hi = math.sqrt(max(1.0, math.log(x)))
-    # golden-section maximization on [0, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > CHAOS_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-    return max(0.0, obj(0.5 * (a + b)))
-
-
-def chaos_tail_bound(t: float, p: float) -> float:
-    """Order-2 sparse chaos tail bound at unit np normalization:
-    2 exp(-h~((t/16) sqrt(log 1/p)))."""
-    if not t > 0:
-        raise DomainError("t must be positive")
-    if not 0 < p < 1:
-        raise DomainError("p must lie in (0,1)")
-    return 2.0 * math.exp(-chaos_exponent((t / 16.0) * math.sqrt(math.log(1.0 / p))))
-
-
-def change_of_measure_bound(H_rel: float, q: float) -> float:
-    """Lower bound q exp(-(H_rel + 1/e)/q) on P(E) when Q(E) >= q."""
-    if not H_rel >= 0:
-        raise DomainError("relative entropy must be >= 0")
-    if not 0 < q <= 1:
-        raise DomainError("q must lie in (0,1]")
-    return q * math.exp(-(H_rel + math.exp(-1.0)) / q)
 
 
 @dataclass

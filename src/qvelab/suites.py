@@ -141,13 +141,6 @@ def degree_bound_suite(seed=0, trials=200) -> SuiteResult:
     return _run("degree_bound", seed, trials, trial)
 
 
-def _coarse_grid(W) -> qve.SpectralGrid:
-    """Inversion grid of the Hoeffding-Wielandt suite: 1000 points keeps each
-    trial fast while the asserted bound has HW_SLACK = 2e-3 slack."""
-    b = qve.support_bound(W)
-    return qve.SpectralGrid(-b - 1.0, b + 1.0, 1000, 1e-3)
-
-
 def interlacing_suite(seed=0, trials=200) -> SuiteResult:
     """Kernel interlacing bound: modify one part of a 4-part kernel."""
     def trial(rng):
@@ -168,9 +161,7 @@ def hw_suite(seed=0, trials=200) -> SuiteResult:
         k = int(rng.integers(1, 5))
         W = _random_kernel(rng, k)
         Wp = _random_kernel(rng, k)
-        grid = _coarse_grid(W if qve.support_bound(W) >= qve.support_bound(Wp)
-                            else Wp)
-        return measures.hw_check(W, Wp, grid=grid)
+        return measures.hw_check(W, Wp)
     return _run("hoeffding_wielandt", seed, trials, trial)
 
 

@@ -208,7 +208,7 @@ def counting_lemma_check(tree: RootedPlanarTree, w, w_prime) -> CheckReport:
     return CheckReport(lhs, rhs, lhs <= rhs + COUNTING_SLACK, {"M": M, "edges": e})
 
 
-def degree_bound_check(tree: RootedPlanarTree, w, part: int = 0) -> CheckReport:
+def degree_bound_check(tree: RootedPlanarTree, w, part: int) -> CheckReport:
     """Rooted densities are bounded by the max sup-degree to the edge count,
     up to DEGREE_SLACK."""
     kernels, _ = _edge_kernels(tree, w)

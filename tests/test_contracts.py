@@ -6,7 +6,7 @@ each of them, and asserts that none of the routines that enforce them takes a
 tolerance, slack or kappa argument: loosening a contract takes an edit here.
 The count of defaulted parameters in the library modules is pinned too, so
 adding an option also takes an edit here, and so do the option strings of
-every CLI subcommand.
+every CLI subcommand and the public names of every library module.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import pytest
 from qvelab import cli, ensembles, kernels, measures, qve, rates, suites, trees
 
 LIBRARY_MODULES = (kernels, measures, qve, rates, trees, ensembles, suites)
-DEFAULTED_PARAMETERS = 35
+DEFAULTED_PARAMETERS = 32
 
 
 def test_contract_values():
@@ -25,6 +25,9 @@ def test_contract_values():
     assert qve.MIN_CAPTURED_MASS == 0.99
     assert qve.STABILITY_KAPPA == 128.0
     assert measures.HW_SLACK == 2e-3
+    # HW_SLACK covers the inversion error of hw_check's own grid
+    assert measures.HW_GRID_POINTS == 1000
+    assert list(inspect.signature(measures.hw_check).parameters) == ["W", "W_prime"]
     # d <= 2|E| compares two QVE solutions: a rounding slack, no inversion
     assert measures.INTERLACING_SLACK == 1e-9
     assert measures.METRIC_SLACK == 1e-9
@@ -36,7 +39,6 @@ def test_contract_values():
     assert suites.CUT_NORM_EXACT_TOL == 1e-12
     assert suites.K_ALPHA_ROUNDTRIP_TOL == 1e-9
     assert rates.K_ALPHA_PSI_TOL == 1e-10
-    assert rates.CHAOS_TOL == 1e-10
 
 
 def test_solver_search_sizes():
@@ -95,21 +97,13 @@ def test_suite_sizes():
         assert list(inspect.signature(fn).parameters) == ["seed", "trials"]
 
 
-def test_upper_regularity_size():
-    # the exhaustive upper-regularity check: the largest part count, and no
-    # option to sample past it
-    assert kernels.MAX_EXACT_REGULARITY == 8
-    assert list(inspect.signature(kernels.upper_regularity_check).parameters) == [
-        "W", "eta", "K", "eps_list"]
-
-
 @pytest.mark.parametrize("fn", [qve.solve_qve, qve.stability_check,
                                 measures.hw_check, measures.interlacing_check,
                                 measures.metric_inequality_check,
                                 trees.counting_lemma_check,
                                 trees.degree_bound_check,
                                 rates.k_alpha, rates.h_L_prime,
-                                rates.legendre_h_L, rates.chaos_exponent])
+                                rates.legendre_h_L])
 def test_no_call_can_loosen_a_contract(fn):
     params = inspect.signature(fn).parameters.values()
     assert not [p.name for p in params
@@ -164,3 +158,64 @@ def test_cli_options():
                         if opt not in ("-h", "--help"))
            for name, sp in sub.choices.items()}
     assert got == CLI_OPTIONS
+
+
+PUBLIC_NAMES = {
+    "kernels": [
+        "CUTDIST_BLOCK", "CUTDIST_INCUMBENTS", "CUTDIST_MARGIN", "CUTDIST_TILE",
+        "CutDistance", "CutNorm", "MAX_EXACT_CUTDIST", "MAX_EXACT_CUTNORM",
+        "Partition", "StepKernel", "common_refinement", "cut_distance",
+        "cut_norm", "degree_function", "kernel_from_json", "kernel_to_json",
+        "l1_norm", "load_kernel", "relabel", "save_kernel", "step_average",
+        "to_common_partition"],
+    "measures": [
+        "HW_GRID_POINTS", "HW_SLACK", "INTERLACING_PRECONDITION_SLACK",
+        "INTERLACING_SLACK", "METRIC_D_GRID", "METRIC_SLACK", "ProbMeasure1D",
+        "QUANTILE_GRID", "hw_check", "interlacing_check", "ks_distance",
+        "load_measure_csv", "metric_d", "metric_inequality_check",
+        "save_measure_csv", "wasserstein"],
+    "qve": [
+        "COARSE_STRIDE", "CONTINUATION_FACTOR", "GRID_ETA", "GRID_POINTS",
+        "LEVEL_TOL", "MAX_ITER", "MIN_CAPTURED_MASS", "MIN_FACTOR",
+        "NEWTON_BLOCK", "QveMeasure", "QveSolution", "RESIDUAL_TOL",
+        "SEMICIRCLE_GRID", "STABILITY_KAPPA", "SpectralGrid", "default_grid",
+        "qve_measure", "semicircle_cdf", "semicircle_density",
+        "semicircle_reference", "solution_to_json", "solve_qve",
+        "stability_check", "support_bound"],
+    "rates": [
+        "EntryLaw", "K_ALPHA_PSI_TOL", "RateSearchResult", "cgf_L",
+        "cgf_L_prime", "h_L_prime", "k_alpha", "kernel_entropy",
+        "legendre_h_L", "rate_table", "rate_upper_bound"],
+    "trees": [
+        "CATALAN", "COUNTING_SLACK", "DEGREE_SLACK", "MAX_EDGES",
+        "RootedPlanarTree", "counting_lemma_check", "degree_bound_check",
+        "enumerate_trees", "hom_density", "moments_table", "qve_moment",
+        "rooted_density_vector", "rooted_hom_density"],
+    "ensembles": [
+        "ROW_BLOCK", "SYMMETRY_TILE", "SparseWignerSample", "entry_uniform",
+        "esm", "load_sample_csv", "resolvent", "sample_sparse_wigner",
+        "save_eigenvalues_csv", "save_sample_csv", "schur_residual",
+        "tilted_sample", "ward_residual"],
+    "suites": [
+        "ALL_SUITES", "CUT_NORM_EXACTNESS_K_MAX", "CUT_NORM_EXACT_TOL", "GROUPS",
+        "KERNEL_VALUES", "K_ALPHA_ROUNDTRIP_TOL", "MEASURE_ATOMS", "RANK_KS_N",
+        "RANK_KS_SLACK", "SCHUR_WARD_N_MAX", "SCHUR_WARD_SCALE", "SuiteResult",
+        "counting_suite", "cut_norm_exactness_suite", "degree_bound_suite",
+        "hw_suite", "interlacing_suite", "k_alpha_roundtrip_suite",
+        "metric_inequality_suite", "rank_ks_suite", "run_suites",
+        "schur_ward_suite", "stability_suite"],
+}
+
+
+def test_public_names():
+    # a module's public names are the functions and classes it defines and
+    # its UPPER_CASE constants, without a leading underscore: code that no
+    # CLI path or suite reaches takes an edit here to come back
+    got = {mod.__name__.rpartition(".")[2]: sorted(
+               name for name, obj in vars(mod).items()
+               if not name.startswith("_")
+               and (name.isupper()
+                    or callable(obj)
+                    and getattr(obj, "__module__", None) == mod.__name__))
+           for mod in LIBRARY_MODULES}
+    assert got == PUBLIC_NAMES

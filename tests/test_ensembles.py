@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qvelab import ensembles, kernels, rates
+from qvelab import ensembles, rates
 from qvelab.errors import (
     AsymmetricInput,
     DivisibilityError,
@@ -371,30 +371,6 @@ class TestEsm:
             for X, symmetric in cases:
                 assert ensembles._is_symmetric(X) == symmetric
                 assert ensembles._is_symmetric(X) == np.allclose(X, X.T, atol=1e-12, rtol=0.0)
-
-
-class TestEmpiricalKernel:
-    def test_zero_mask(self):
-        # [TRIVIAL]
-        none = np.zeros(0, dtype=int)
-        s = ensembles.SparseWignerSample(3, 0.5, none, none, np.zeros(0), 0)
-        W = ensembles.empirical_kernel(s)
-        assert np.array_equal(W.values, np.zeros((3, 3)))
-
-    def test_rademacher_values(self):
-        # [DERIVED] A^2 = 1 on edges so values in {0, 1/p}
-        p = 0.25
-        s = ensembles.sample_sparse_wigner(24, p, RADEMACHER, 4)
-        W = ensembles.empirical_kernel(s)
-        assert set(np.round(np.unique(W.values), 12)) <= {0.0, round(1 / p, 12)}
-
-    def test_l1_counting_identity(self):
-        # [DERIVED] l1 * p * n^2 == 2 * edges for Rademacher
-        p, n = 0.2, 50
-        s = ensembles.sample_sparse_wigner(n, p, RADEMACHER, 5)
-        W = ensembles.empirical_kernel(s)
-        assert abs(kernels.l1_norm(W) * p * n ** 2
-                   - 2.0 * s.edge_count) <= 1e-8
 
 
 class TestTiltedSample:

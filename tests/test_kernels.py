@@ -154,39 +154,6 @@ class TestDegreeFunction:
 
 
 # ---------------------------------------------------------------------------
-# truncate_by_degree
-
-
-class TestTruncateByDegree:
-    def test_no_truncation(self):
-        # [TRIVIAL] no part truncated
-        W = StepKernel.constant(1.0)
-        assert kernels.truncate_by_degree(W, 2.0) == W
-
-    def test_block_truncated(self):
-        # [DERIVED] d_W = [1, 0], part 1 zeroed, part 2 already zero
-        W = StepKernel(Partition.equal(2), [[2.0, 0.0], [0.0, 0.0]])
-        out = kernels.truncate_by_degree(W, 0.5)
-        assert np.array_equal(out.values, np.zeros((2, 2)))
-
-    def test_constant_truncated(self):
-        # [DERIVED] d_W = 1 > C everywhere
-        out = kernels.truncate_by_degree(StepKernel.constant(1.0), 0.5)
-        assert np.array_equal(out.values, np.zeros((1, 1)))
-
-    def test_identity_above_max_degree(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            W = random_kernel(rng, 3)
-            C = kernels.degree_function(W).max()
-            assert kernels.truncate_by_degree(W, C) == W
-
-    def test_negative_C_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.truncate_by_degree(StepKernel.constant(1.0), -1.0)
-
-
-# ---------------------------------------------------------------------------
 # step_average
 
 
@@ -466,32 +433,7 @@ class TestRelabel:
 
 
 # ---------------------------------------------------------------------------
-# kernel_from_graph / l1_norm
-
-
-class TestKernelFromGraph:
-    def test_zero_matrix(self):
-        # [TRIVIAL]
-        W = kernels.kernel_from_graph(np.zeros((3, 3)), 0.5)
-        assert np.array_equal(W.values, np.zeros((3, 3)))
-
-    def test_single_edge(self):
-        # [DERIVED] division by p
-        W = kernels.kernel_from_graph([[0.0, 1.0], [1.0, 0.0]], 0.5)
-        assert np.array_equal(W.values, [[0.0, 2.0], [2.0, 0.0]])
-        assert W.partition.is_rational
-
-    def test_rademacher_realization_values(self):
-        # [DERIVED] A_ij^2 = 1 on present edges
-        from qvelab import ensembles, rates
-        p = 0.2
-        s = ensembles.sample_sparse_wigner(30, p, rates.EntryLaw.rademacher(), 0)
-        W = kernels.kernel_from_graph(s.raw ** 2 * s.mask, p)
-        assert set(np.round(np.unique(W.values), 12)) <= {0.0, round(1 / p, 12)}
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(AsymmetricInput):
-            kernels.kernel_from_graph([[0.0, 1.0], [0.0, 0.0]], 0.5)
+# l1_norm
 
 
 class TestL1Norm:
@@ -505,39 +447,6 @@ class TestL1Norm:
         # [DERIVED] 2 * (1/4)
         W = StepKernel(Partition.equal(2), [[2.0, 0.0], [0.0, 0.0]])
         assert abs(kernels.l1_norm(W) - 0.5) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# upper_regularity_check
-
-
-class TestUpperRegularity:
-    def test_constant_passes(self):
-        # [TRIVIAL] indicator always zero
-        W = StepKernel.constant(1.0, 4)
-        rep = kernels.upper_regularity_check(W, 0.25, {0.1: 2.0}, [0.1])
-        assert rep.passed
-
-    def test_zero_passes(self):
-        # [TRIVIAL]
-        W = StepKernel.constant(0.0, 4)
-        rep = kernels.upper_regularity_check(W, 0.25, {0.1: 1.0}, [0.1])
-        assert rep.passed
-
-    def test_violation_found(self):
-        # [DERIVED] exhaustive small-n enumeration; one huge value
-        vals = np.zeros((4, 4))
-        vals[0, 0] = 100.0 / 0.05
-        W = StepKernel(Partition.equal(4), vals)
-        rep = kernels.upper_regularity_check(W, 0.25, {0.01: 10.0}, [0.01])
-        assert not rep.passed
-        assert rep.violation is not None
-
-    def test_too_many_parts(self):
-        # the check is exhaustive over set partitions, so it stops at 8 parts
-        W = StepKernel.constant(1.0, 12)
-        with pytest.raises(ExactTooLarge):
-            kernels.upper_regularity_check(W, 1.0 / 12.0, {0.1: 2.0}, [0.1])
 
 
 # ---------------------------------------------------------------------------

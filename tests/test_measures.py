@@ -63,6 +63,25 @@ class TestProbMeasure1D:
         with pytest.raises(ValueError, match="no atoms"):
             ProbMeasure1D.from_atoms([])
 
+    def test_shape_validation(self):
+        # one value and two weights would make a measure of mass 0.5, and
+        # 2-D values an atom array of shape (2, 2, 2)
+        with pytest.raises(ValueError, match="do not match"):
+            ProbMeasure1D.from_atoms([0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="1-D"):
+            ProbMeasure1D.from_atoms([[0.0, 1.0], [2.0, 3.0]])
+
+    def test_eq_and_hash_are_identity(self, inversions):
+        a = ProbMeasure1D.from_atoms([0.0, 1.0])
+        b = ProbMeasure1D.from_atoms([0.0, 1.0])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        W = StepKernel.constant(1.0, 2)
+        m, n = qve.QveMeasure(W), qve.QveMeasure(W)
+        assert m == m and m != n
+        assert len({m, n, m}) == 2
+        assert inversions == []
+
     def test_grid_cdf_monotone(self):
         x = np.linspace(-2, 2, 500)
         mu = ProbMeasure1D.from_grid(x, np.exp(-x ** 2))
@@ -225,6 +244,19 @@ class TestHwCheck:
         assert rep.holds
         assert abs(rep.lhs - 1.0) <= 5e-3
         assert abs(rep.rhs - (math.sqrt(3.0) + 2e-3)) <= 1e-12
+
+    def test_lhs_is_w2_on_one_grid(self):
+        # both kernels inverted on HW_GRID_POINTS points over +-(b + 1), b the
+        # larger support bound: the lhs is that W2, bit for bit
+        rng = np.random.default_rng(21)
+        vals = rng.uniform(0, 4, (3, 3))
+        W = StepKernel(Partition.equal(3), 0.5 * (vals + vals.T))
+        vals = rng.uniform(0, 4, (3, 3))
+        Wp = StepKernel(Partition.equal(3), 0.5 * (vals + vals.T))
+        b = max(qve.support_bound(W), qve.support_bound(Wp))
+        g = qve.SpectralGrid(-b - 1.0, b + 1.0, 1000, 1e-3)
+        lhs = measures.wasserstein(qve.qve_measure(W, g), qve.qve_measure(Wp, g), 2)
+        assert measures.hw_check(W, Wp).lhs == lhs
 
     def test_random_pairs(self):
         # [DERIVED] Monte Carlo suite (full 200-trial run in acceptance)

@@ -1,7 +1,6 @@
-"""Tests for qvelab.rates: cumulant function, Legendre conjugate, bounds."""
+"""Tests for qvelab.rates: cumulant function, Legendre conjugate, entropy, K_alpha."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -330,30 +329,6 @@ class TestKernelEntropyProperties:
         assert abs(rates.kernel_entropy(law, StepKernel.constant(1.0, k))) <= 1e-12
 
 
-class TestErRateH:
-    def test_u1(self):
-        # [PAPER]
-        assert rates.er_rate_h(1.0) == 0.0
-
-    def test_u0(self):
-        # [DERIVED] limit u log u -> 0
-        assert rates.er_rate_h(0.0) == 1.0
-
-    def test_ue(self):
-        # [DERIVED] e * 1 - e + 1
-        assert abs(rates.er_rate_h(math.e) - 1.0) <= 1e-12
-
-    def test_negative(self):
-        for u in (-0.1, math.nan):
-            with pytest.raises(DomainError):
-                rates.er_rate_h(u)
-
-    def test_infinity(self):
-        # [DERIVED] u log u - u + 1 -> inf as u -> inf; the formula itself
-        # reads inf - inf = nan there (NaN input is test_negative's case)
-        assert rates.er_rate_h(math.inf) == math.inf
-
-
 class TestKAlpha:
     def test_round_trip(self):
         # [DERIVED] defining identity psi(K_alpha(eps)) = alpha / eps
@@ -432,128 +407,6 @@ class TestKAlpha:
             rates.k_alpha(law, 354.0, 0.5)
         u = rates.k_alpha(law, 350.0, 0.5)
         assert abs(rates.legendre_h_L(law, u) / u - 700.0) <= 1e-10
-
-
-class TestBennettBound:
-    def test_weak_form_boundary(self):
-        # [TRIVIAL] log(1) = 0 at t = 3 lam
-        out = rates.dependent_bennett_bound(1.0, 1.0, 3.0)
-        assert out.weak_bound == 1.0
-
-    def test_closed_form(self):
-        # [DERIVED] exp(-(3 ln 3 - 2))
-        out = rates.dependent_bennett_bound(1.0, 1.0, 3.0)
-        assert abs(out.bound - math.exp(-(3.0 * math.log(3.0) - 2.0))) <= 1e-12
-
-    def test_decreasing_in_t(self):
-        # [TRIVIAL] h increasing on (1, inf)
-        ts = np.linspace(1.5, 20.0, 50)
-        vals = [rates.dependent_bennett_bound(1.0, 2.0, float(t)).bound
-                for t in ts]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            rates.dependent_bennett_bound(1.0, 1.0, 0.5)
-
-    @pytest.mark.parametrize("lam, a, t", [
-        (math.nan, 1.0, 3.0), (1.0, math.nan, 3.0), (1.0, 1.0, math.nan),
-        (1.0, 1.0, math.inf),
-    ])
-    def test_domain_non_finite(self, lam, a, t):
-        # a NaN fails every comparison, so the guards must reject it too; an
-        # infinite t would make h(t/lam) = inf - inf
-        with pytest.raises(DomainError):
-            rates.dependent_bennett_bound(lam, a, t)
-
-
-class TestChaosExponent:
-    def test_zero(self):
-        # [TRIVIAL] theta = 0 optimal
-        assert rates.chaos_exponent(0.0) == 0.0
-
-    def test_monotone_convex(self):
-        # [TRIVIAL] sup of linear functions
-        xs = np.linspace(0.0, 20.0, 80)
-        vals = [rates.chaos_exponent(float(x)) for x in xs]
-        assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
-        for i in range(1, len(xs) - 1):
-            assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-8
-
-    def test_asymptotic_growth(self):
-        # h~(x) ~ x sqrt(log x); convergence is O(log log x / log x), so the
-        # ratio reaches 15% only around x ~ 1e8 (at 1e3 it is still ~0.80)
-        ratios = []
-        for x in (1e3, 1e4, 1e8):
-            ratios.append(rates.chaos_exponent(x) / (x * math.sqrt(math.log(x))))
-        assert ratios[0] < ratios[1] < ratios[2] <= 1.0 + 1e-9
-        assert abs(ratios[-1] - 1.0) <= 0.15
-
-    def test_matches_dense_grid_maximum(self):
-        # independent oracle: dense theta grid search
-        for x in (0.5, 3.0, 25.0):
-            thetas = np.linspace(0.0, 5.0, 200_001)
-            grid_max = float(np.max(thetas * x - (np.exp(thetas ** 2) - 1.0)))
-            assert abs(rates.chaos_exponent(x) - grid_max) <= 1e-6
-
-    def test_large_x_against_stationarity(self):
-        # [DERIVED] the maximizer solves 2 theta exp(theta^2) = x, where the
-        # objective is theta x - x/(2 theta) + 1; the old bracket overflowed
-        # exp(theta^2) for every x above about 1e113
-        x = 1e200
-        theta = brentq(lambda t: math.log(2.0 * t) + t * t - math.log(x),
-                       1.0, 30.0, xtol=1e-15, rtol=8.9e-16)
-        oracle = theta * x - x / (2.0 * theta) + 1.0
-        assert abs(rates.chaos_exponent(x) / oracle - 1.0) <= 1e-12
-        for big in (1e113, 1e300, 6e306):
-            assert math.isfinite(rates.chaos_exponent(big))
-        # h~(x) itself passes the float range above about 6.8e306
-        assert rates.chaos_exponent(sys.float_info.max) == math.inf
-
-    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            rates.chaos_exponent(x)
-
-    def test_tail_bound_range(self):
-        val = rates.chaos_tail_bound(1.0, 0.05)
-        assert 0.0 < val <= 2.0
-        with pytest.raises(DomainError):
-            rates.chaos_tail_bound(-1.0, 0.05)
-
-
-class TestChangeOfMeasure:
-    def test_reference_value(self):
-        # [DERIVED] q = 1, H = 0 -> exp(-1/e)
-        assert abs(rates.change_of_measure_bound(0.0, 1.0)
-                   - math.exp(-math.exp(-1.0))) <= 1e-12
-
-    @pytest.mark.parametrize("H_rel, q", [
-        (-0.1, 0.5), (math.nan, 0.5), (0.0, math.nan), (0.0, 0.0)])
-    def test_domain(self, H_rel, q):
-        with pytest.raises(DomainError):
-            rates.change_of_measure_bound(H_rel, q)
-
-    def test_bounded_by_q(self):
-        # [TRIVIAL] exponential factor <= 1
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            H = float(rng.uniform(0.0, 5.0))
-            q = float(rng.uniform(0.01, 1.0))
-            assert rates.change_of_measure_bound(H, q) <= q
-
-    def test_monte_carlo_coin_pair(self):
-        # [DERIVED] biased/unbiased coin pair with exact discrete entropy:
-        # P(E) >= q exp(-(H(Q|P) + 1/e)/q) whenever Q(E) >= q
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p_coin = float(rng.uniform(0.2, 0.8))
-            q_coin = float(rng.uniform(0.2, 0.8))
-            H_rel = (q_coin * math.log(q_coin / p_coin)
-                     + (1 - q_coin) * math.log((1 - q_coin) / (1 - p_coin)))
-            # event E = {heads}: Q(E) = q_coin, P(E) = p_coin
-            bound = rates.change_of_measure_bound(H_rel, q_coin)
-            assert p_coin >= bound - 1e-12
 
 
 class TestRateUpperBound:

@@ -331,13 +331,13 @@ class TestCountingLemma:
 class TestDegreeBound:
     def test_root_only(self):
         # [TRIVIAL] empty product
-        rep = trees.degree_bound_check(RootedPlanarTree(()), [])
+        rep = trees.degree_bound_check(RootedPlanarTree(()), [], 0)
         assert rep.holds and rep.lhs == rep.rhs == 1.0
 
     def test_single_edge_constant(self):
         # [TRIVIAL] equality at the constant kernel
         edge = trees.enumerate_trees(1)[0]
-        rep = trees.degree_bound_check(edge, [StepKernel.constant(1.0)])
+        rep = trees.degree_bound_check(edge, [StepKernel.constant(1.0)], 0)
         assert rep.holds and abs(rep.lhs - rep.rhs) <= 1e-12
 
     def test_random_suite(self):
