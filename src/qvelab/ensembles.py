@@ -207,6 +207,10 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     On the block containing (i,j) with value u the joint law of (xi, A) is
     reweighted by exp(theta xi A^2)/Z with theta = h_L'(u) and the exact
     partition function Z = 1 + p L(theta).
+
+    The sample's exact variance profile is E[xi A^2]/p = L'(theta)/Z =
+    u/(1 + p L(theta)) on that block, so U is its p -> 0 limit, not the
+    profile itself.
     """
     _check_size(n, p)
     k = U.k

@@ -56,10 +56,6 @@ class DivisibilityError(QvelabError):
     """Block count must divide the matrix dimension."""
 
 
-class NoFeasibleKernel(QvelabError):
-    """No member of the search family met the distance tolerance."""
-
-
 class SolveFailure(QvelabError):
     """Dense linear solve failed."""
 

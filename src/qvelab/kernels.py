@@ -234,13 +234,15 @@ def l1_norm(W: StepKernel) -> float:
 
 MAX_EXACT_CUTNORM = 12
 MAX_EXACT_CUTDIST = 8
-CUTDIST_BLOCK = 8192            # (permutation, indicator row) pairs per product
-CUTDIST_TILE = 4                # indicator rows in the first pruning tile
-CUTDIST_INCUMBENTS = 16         # lowest-bound permutations scored for the incumbent
-# Relative slack on the incumbent when pruning.  A tile score and the full
+# (permutation, indicator row) pairs per product.  The first full-table stack
+# sets the stopping score, so it is kept small: at k = 6 it holds 32
+# permutations, and the bound leaves a median of 42 on random pairs.
+CUTDIST_BLOCK = 2048
+CUTDIST_TILE = 4                # indicator rows that bound each permutation
+# Relative slack on the least full score when stopping.  A bound and the full
 # score of one permutation differ from the exact values by rounding only,
-# about 1e-15 of the cut norm, so the margin only admits extra survivors;
-# the result is always the argmin of full-table scores.
+# about 1e-15 of the cut norm, so the margin only scores extra stacks; the
+# result is always the argmin of full-table scores.
 CUTDIST_MARGIN = 1e-9
 
 
@@ -335,23 +337,18 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
     """min over part permutations sigma of ||W1 - W2^sigma||_box, exact for
     k <= MAX_EXACT_CUTDIST.
 
-    The k! relabelled differences are scored as stacks of at most
-    CUTDIST_BLOCK (permutation, indicator row) pairs, with the indicator rows
-    taken largest subsets first, and pruned:
+    The k! relabelled differences are scored in two passes:
 
-    - every permutation is scored on a first tile of CUTDIST_TILE rows, which
-      bounds its cut norm from below;
-    - the CUTDIST_INCUMBENTS permutations with the smallest bounds are scored
-      on the full table, and their minimum U bounds the distance from above;
-    - the survivors, whose bound is at most U * (1 + CUTDIST_MARGIN), get the
-      full-table product _cut_norm_exact uses, and its rows are scored in
-      tiles that double in size; a permutation is dropped as soon as one
-      tile scores above U * (1 + CUTDIST_MARGIN).
+    - every permutation is scored on the CUTDIST_TILE largest indicator rows,
+      which bounds its cut norm from below;
+    - in ascending bound order, stacks of at most CUTDIST_BLOCK (permutation,
+      indicator row) pairs are scored on the full-table product
+      _cut_norm_exact uses, until a stack's bounds all exceed the least full
+      score * (1 + CUTDIST_MARGIN).
 
-    A permutation that is never dropped has scored every row of that product,
-    so its score is bit-identical to cut_norm(W1 - W2^sigma).  The value is
-    the least such score, and the permutation the first minimiser in
-    itertools.permutations order, ties included.
+    A scored permutation's score is bit-identical to cut_norm(W1 - W2^sigma).
+    The value is the least such score, and the permutation the first minimiser
+    in itertools.permutations order, ties included.
     """
     a, b = _align_equal_parts(W1, W2)
     k = a.k
@@ -363,46 +360,30 @@ def cut_distance(W1: StepKernel, W2: StepKernel) -> CutDistance:
     A, B = a.values, b.values
     P = _permutation_table(k)
     S = _indicator_table(k)
-    # rows by decreasing subset size: the large subsets carry the difference
-    # of the total masses, so they bound most permutations on the first tile
-    order = np.argsort(-S.sum(axis=1), kind="stable")
-    edges = ([0] + [CUTDIST_TILE << j for j in range(k)
-                    if CUTDIST_TILE << j < len(S)] + [len(S)])
 
     def diffs(perms):
         p = P[perms]
         return (A - B[p[:, :, None], p[:, None, :]]) * mu2
 
-    def full_scores(perms, cut):
-        """Exact cut norm of each permuted difference, scored tile by tile
-        on the full-table product; a permutation is left with a partial
-        score above cut as soon as one tile exceeds cut."""
-        out = np.full(len(perms), -np.inf)
-        step = max(1, CUTDIST_BLOCK // len(S))
-        for i in range(0, len(perms), step):
-            R = S @ diffs(perms[i:i + step])
-            best = out[i:i + step]
-            live = np.arange(len(R))
-            for lo, hi in zip(edges, edges[1:]):
-                tile = R[live[:, None], order[lo:hi]]
-                best[live] = np.maximum(best[live],
-                                        _row_scores(tile).max(axis=-1))
-                live = live[best[live] <= cut]
-                if not live.size:
-                    break
-        return out
-
-    first = S[order[:CUTDIST_TILE]]
+    # the largest subsets carry the difference of the total masses, so they
+    # bound most permutations
+    first = S[np.argsort(-S.sum(axis=1), kind="stable")[:CUTDIST_TILE]]
     step = CUTDIST_BLOCK // max(CUTDIST_TILE, k)
     bound = np.concatenate([
         _row_scores(first @ diffs(slice(i, i + step))).max(axis=-1)
         for i in range(0, len(P), step)])
-    few = np.argsort(bound, kind="stable")[:CUTDIST_INCUMBENTS]
-    cut = full_scores(few, np.inf).min() * (1.0 + CUTDIST_MARGIN)
-    alive = np.flatnonzero(bound <= cut)
-    full = full_scores(alive, cut)
+    order = np.argsort(bound, kind="stable")
+    full = np.full(len(P), np.inf)
+    least = np.inf
+    step = CUTDIST_BLOCK // len(S)
+    for i in range(0, len(P), step):
+        perms = order[i:i + step]
+        if bound[perms[0]] > least * (1.0 + CUTDIST_MARGIN):
+            break                       # perms[0] has the stack's least bound
+        full[perms] = _row_scores(S @ diffs(perms)).max(axis=-1)
+        least = min(least, full[perms].min())
     best = int(np.argmin(full))
-    return CutDistance(float(full[best]), tuple(int(i) for i in P[alive[best]]))
+    return CutDistance(float(full[best]), tuple(int(i) for i in P[best]))
 
 
 # ---------------------------------------------------------------------------

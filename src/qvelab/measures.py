@@ -81,6 +81,8 @@ class ProbMeasure1D:
             if w.shape != v.shape:
                 raise ValueError(f"weights of shape {w.shape} do not match "
                                  f"atom values of shape {v.shape}")
+        if not (np.isfinite(v).all() and np.isfinite(w).all()):
+            raise ValueError("atom values and weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         total = w.sum()
@@ -144,13 +146,6 @@ class ProbMeasure1D:
         if self.kind == "atoms":
             return float(np.sum(self.w * self.x ** order))
         return float(_trapezoid_weights(self.x) @ (self.density * self.x ** order))
-
-    def stieltjes(self, z) -> complex:
-        """m(z) = int dmu(x)/(x - z), Im z > 0."""
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValueError("stieltjes transform requires Im z > 0")
-        return complex(_stieltjes_at(self, np.array([z]))[0])
 
 
 def _cumtrapz(y, x):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooNarrow, NotConverged, PreconditionViolated, SolveFailure
-from .kernels import StepKernel, degree_function
+from .kernels import StepKernel
 from .measures import ProbMeasure1D, _trapezoid_weights
 from .report import CheckReport
 

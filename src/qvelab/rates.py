@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoFeasibleKernel, NotConverged
+from .errors import DomainError, NotConverged
 from .kernels import StepKernel
 
 _TOL = 1e-12
@@ -299,37 +299,6 @@ def k_alpha(law: EntryLaw, alpha: float, eps: float) -> float:
         else:
             hi = mid
     return float(_L_derivative(law, mid, 1))
-
-
-@dataclass
-class RateSearchResult:
-    best_kernel: StepKernel
-    H_value: float
-    attained_distance: float
-
-
-def rate_upper_bound(law: EntryLaw, target, family,
-                     tol: float) -> RateSearchResult:
-    """Search a finite kernel family for the cheapest one whose QVE measure
-    lies within tol of the target in metric_d (an upper bound on the rate,
-    never claimed as the infimum).  Each member's side of the distance comes
-    from its QVE solution, so no member is inverted."""
-    from . import qve
-    from .measures import metric_d
-
-    best = None
-    for W in family:
-        dist = metric_d(qve.QveMeasure(W), target)
-        if dist > tol:
-            continue
-        H = kernel_entropy(law, W)
-        if best is None or H < best.H_value:
-            best = RateSearchResult(W, H, dist)
-    if best is None:
-        raise NoFeasibleKernel(
-            f"no family member within distance {tol} of the target"
-        )
-    return best
 
 
 def rate_table(law: EntryLaw, u_values):

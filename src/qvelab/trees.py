@@ -54,20 +54,9 @@ class RootedPlanarTree:
         if depth != 0:
             raise ValueError("Dyck word is not balanced")
 
-    @classmethod
-    def from_string(cls, s: str) -> "RootedPlanarTree":
-        return cls(tuple(int(c) for c in s))
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.word)
-
     @property
     def n_edges(self) -> int:
         return len(self.word) // 2
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_edges + 1
 
     def parents(self) -> list:
         """Parent index per vertex (root = 0 with parent -1), DFS order."""

@@ -10,7 +10,9 @@ every CLI subcommand and the public names of every library module.
 """
 
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -56,12 +58,11 @@ def test_solver_search_sizes():
 
 
 def test_cut_distance_sizes():
-    # exact cut distance: the largest k, the stacked block, the pruning tile,
-    # the incumbents and the pruning margin, with no option to change them
+    # exact cut distance: the largest k, the stacked block, the bounding tile
+    # and the stopping margin, with no option to change them
     assert kernels.MAX_EXACT_CUTDIST == 8
-    assert kernels.CUTDIST_BLOCK == 8192
+    assert kernels.CUTDIST_BLOCK == 2048
     assert kernels.CUTDIST_TILE == 4
-    assert kernels.CUTDIST_INCUMBENTS == 16
     assert kernels.CUTDIST_MARGIN == 1e-9
     assert list(inspect.signature(kernels.cut_distance).parameters) == ["W1", "W2"]
 
@@ -162,7 +163,7 @@ def test_cli_options():
 
 PUBLIC_NAMES = {
     "kernels": [
-        "CUTDIST_BLOCK", "CUTDIST_INCUMBENTS", "CUTDIST_MARGIN", "CUTDIST_TILE",
+        "CUTDIST_BLOCK", "CUTDIST_MARGIN", "CUTDIST_TILE",
         "CutDistance", "CutNorm", "MAX_EXACT_CUTDIST", "MAX_EXACT_CUTNORM",
         "Partition", "StepKernel", "common_refinement", "cut_distance",
         "cut_norm", "degree_function", "kernel_from_json", "kernel_to_json",
@@ -183,9 +184,8 @@ PUBLIC_NAMES = {
         "semicircle_reference", "solution_to_json", "solve_qve",
         "stability_check", "support_bound"],
     "rates": [
-        "EntryLaw", "K_ALPHA_PSI_TOL", "RateSearchResult", "cgf_L",
-        "cgf_L_prime", "h_L_prime", "k_alpha", "kernel_entropy",
-        "legendre_h_L", "rate_table", "rate_upper_bound"],
+        "EntryLaw", "K_ALPHA_PSI_TOL", "cgf_L", "cgf_L_prime", "h_L_prime",
+        "k_alpha", "kernel_entropy", "legendre_h_L", "rate_table"],
     "trees": [
         "CATALAN", "COUNTING_SLACK", "DEGREE_SLACK", "MAX_EDGES",
         "RootedPlanarTree", "counting_lemma_check", "degree_bound_check",
@@ -219,3 +219,25 @@ def test_public_names():
                     and getattr(obj, "__module__", None) == mod.__name__))
            for mod in LIBRARY_MODULES}
     assert got == PUBLIC_NAMES
+
+
+def test_no_unused_imports():
+    # a top-level import that no line of its module reads is dead surface;
+    # __init__.py imports only to re-export, so it is exempt
+    unused = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in bound.items() if name not in read]
+    assert unused == []

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from qvelab import kernels, rates
-from qvelab.errors import DomainError, NoFeasibleKernel
+from qvelab.errors import DomainError
 from qvelab.kernels import Partition, StepKernel
 from qvelab.rates import EntryLaw
 
@@ -407,47 +407,6 @@ class TestKAlpha:
             rates.k_alpha(law, 354.0, 0.5)
         u = rates.k_alpha(law, 350.0, 0.5)
         assert abs(rates.legendre_h_L(law, u) / u - 700.0) <= 1e-10
-
-
-class TestRateUpperBound:
-    def test_semicircle_target(self):
-        # [PAPER] the semicircle minimizer is W = 1 with H = 0
-        from qvelab import qve
-        law = EntryLaw.rademacher()
-        family = [StepKernel.constant(c) for c in (0.5, 1.0, 2.0)]
-        target = qve.semicircle_reference()
-        out = rates.rate_upper_bound(law, target, family, tol=0.01)
-        assert np.allclose(out.best_kernel.values, 1.0)
-        assert abs(out.H_value) <= 1e-12
-
-    def test_family_member_target(self):
-        # [TRIVIAL] W0 itself is feasible
-        from qvelab import qve
-        law = EntryLaw.rademacher()
-        W0 = StepKernel.constant(2.0)
-        target = qve.qve_measure(W0)
-        out = rates.rate_upper_bound(law, target,
-                                     [StepKernel.constant(2.0),
-                                      StepKernel.constant(3.0)], tol=0.01)
-        assert out.H_value <= rates.kernel_entropy(law, W0) + 1e-12
-
-    def test_excluding_one_gives_positive_entropy(self):
-        # [DERIVED] h_L vanishes only at 1
-        from qvelab import qve
-        law = EntryLaw.rademacher()
-        target = qve.semicircle_reference()
-        out = rates.rate_upper_bound(law, target,
-                                     [StepKernel.constant(0.9),
-                                      StepKernel.constant(1.1)], tol=0.1)
-        assert out.H_value > 0.0
-
-    def test_no_feasible_kernel(self):
-        from qvelab import qve
-        law = EntryLaw.rademacher()
-        target = qve.semicircle_reference()
-        with pytest.raises(NoFeasibleKernel):
-            rates.rate_upper_bound(law, target,
-                                   [StepKernel.constant(4.0)], tol=1e-4)
 
 
 class TestRateTable:

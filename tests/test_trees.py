@@ -25,7 +25,7 @@ def brute_force_hom_density(tree, w):
     edge_kernels = [w] * tree.n_edges if isinstance(w, StepKernel) else w
     part = (w if isinstance(w, StepKernel) else w[0]).partition
     mu = part.part_measures
-    n = tree.n_vertices
+    n = tree.n_edges + 1
     total = 0.0
     for assign in np.ndindex(*([part.k] * n)):
         term = 1.0
@@ -80,17 +80,13 @@ class TestRootedPlanarTree:
         with pytest.raises(ValueError):
             RootedPlanarTree((1, 2, 0, 0))    # non-bit
 
-    def test_string_round_trip(self):
-        t = RootedPlanarTree.from_string("110100")
-        assert t.to_string() == "110100"
-        assert t.n_edges == 3 and t.n_vertices == 4
-
     def test_path_and_cherry_structure(self):
-        path = RootedPlanarTree.from_string("1100")
-        cherry = RootedPlanarTree.from_string("1010")
+        path = RootedPlanarTree((1, 1, 0, 0))
+        cherry = RootedPlanarTree((1, 0, 1, 0))
         assert path.parents() == [-1, 0, 1]
         assert cherry.parents() == [-1, 0, 0]
         assert path.edges() == [(0, 1), (1, 2)]
+        assert path.n_edges == cherry.n_edges == 2
 
 
 class TestEnumerateTrees:
@@ -102,7 +98,7 @@ class TestEnumerateTrees:
         # [DERIVED] Catalan C_2 = 2: path and cherry
         out = trees.enumerate_trees(2)
         assert len(out) == 2
-        assert {t.to_string() for t in out} == {"1100", "1010"}
+        assert {t.word for t in out} == {(1, 1, 0, 0), (1, 0, 1, 0)}
 
     def test_k4(self):
         # [DERIVED] Catalan C_4
@@ -131,13 +127,13 @@ class TestEnumerateTrees:
 class TestHomDensity:
     def test_single_edge_constant(self):
         # [TRIVIAL]
-        edge = RootedPlanarTree.from_string("10")
+        edge = RootedPlanarTree((1, 0))
         assert abs(trees.hom_density(edge, StepKernel.constant(1.0)) - 1.0) <= 1e-15
 
     def test_single_edge_equals_l1(self):
         # [DERIVED] definition coincides with the mean
         rng = np.random.default_rng(0)
-        edge = RootedPlanarTree.from_string("10")
+        edge = RootedPlanarTree((1, 0))
         for _ in range(10):
             W = random_kernel(rng, int(rng.integers(1, 5)))
             assert abs(trees.hom_density(edge, W)
@@ -145,7 +141,7 @@ class TestHomDensity:
 
     def test_two_edge_path(self):
         # [DERIVED] explicit block summation gives 1
-        path = RootedPlanarTree.from_string("1100")
+        path = RootedPlanarTree((1, 1, 0, 0))
         W = StepKernel(Partition.equal(2), [[0.0, 2.0], [2.0, 0.0]])
         assert abs(trees.hom_density(path, W) - 1.0) <= 1e-12
 
@@ -191,13 +187,13 @@ class TestRootedHomDensity:
 
     def test_single_edge_constant(self):
         # [TRIVIAL]
-        edge = RootedPlanarTree.from_string("10")
+        edge = RootedPlanarTree((1, 0))
         assert abs(trees.rooted_hom_density(edge, StepKernel.constant(1.0), 0)
                    - 1.0) <= 1e-15
 
     def test_single_edge_off_diagonal(self):
         # [DERIVED] 2 * (1/2)
-        edge = RootedPlanarTree.from_string("10")
+        edge = RootedPlanarTree((1, 0))
         W = StepKernel(Partition.equal(2), [[0.0, 2.0], [2.0, 0.0]])
         assert abs(trees.rooted_hom_density(edge, W, 0) - 1.0) <= 1e-12
 
