@@ -93,7 +93,8 @@ def cmd_qve_solve(args):
     zs = [parse_complex(z) for z in args.z]
     sol = qve.solve_qve(W, zs)
     _write(args.out, qve.solution_to_json(sol))
-    _summary("qve-solve", points=len(zs), max_residual=float(sol.residuals.max()))
+    _summary("qve-solve", points=len(zs), max_residual=float(sol.residuals.max()),
+             continued=sol.continued)
     return 0
 
 

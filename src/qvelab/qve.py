@@ -4,16 +4,22 @@ For a kernel on k parts with values V and part measures lambda the QVE reads
 -1/m_i = z + sum_j S_ij m_j with S_ij = V_ij * lambda_j; its unique solution
 with Im m > 0 encodes the spectral (QVE) measure of the kernel.
 
-The solver is damped Newton with eta-continuation.  It starts at
-Im z = max(4, 2 sqrt(||S||_inf)), where m -> -1/(z + Sm) contracts, and walks
-Im z down to its target by a fixed factor, each level warm-started from the
-level above; the QVE solution is stable in z (Ajanki, Erdos and Krueger,
-Quadratic Vector Equations on Complex Upper Half-Plane), so the walk stays on
-the Herglotz branch, and a Newton step is only taken while it lowers the
-residual and keeps Im m > 0.  A level that a point misses is retried from
-the level above with a finer factor, and a point left unsolved walks once
-more with tighter levels.  Accepted solutions always satisfy the residual and
-Herglotz contracts; failures raise per-point, never silently.
+The solver is damped Newton.  Far from the axis, at Im z >= sqrt(||S||_inf)
+(half the support bound), the map m -> -1/(z + Sm) is non-expanding, since
+||diag(m)^2 S||_inf <= ||S||_inf / (Im z)^2 (Ajanki, Erdos and Krueger,
+Quadratic Vector Equations on Complex Upper Half-Plane), so Newton runs at the
+target itself from the row-sum start: coordinate i solves the scalar QVE
+-1/m_i = z + s_i m_i with s_i the i-th row sum of S, which is exact for
+kernels with constant row sums.  Every other point, and a far point Newton
+misses, walks the eta-continuation.  It starts at Im z = max(4, 2
+sqrt(||S||_inf)), where m -> -1/(z + Sm) contracts, and walks Im z down to
+its target by a fixed factor, each level warm-started from the level above;
+the QVE solution is stable in z, so the walk stays on the Herglotz branch,
+and a Newton step is only taken while it lowers the residual and keeps
+Im m > 0.  A level that a point misses is retried from the level above with
+a finer factor, and a point left unsolved walks once more with tighter
+levels.  Accepted solutions always satisfy the residual and Herglotz
+contracts; failures raise per-point, never silently.
 
 Stieltjes inversion (``qve_measure``) solves a whole grid x + i eta.  At fixed
 eta > 0, m is smooth in x by the same stability, so the grid is solved coarse
@@ -90,6 +96,7 @@ class QveSolution:
     m_values: np.ndarray           # (nz, k) complex, Im > 0
     residuals: np.ndarray          # (nz,) sup-norm residuals
     part_measures: np.ndarray      # (k,) part measures of the kernel
+    continued: int                 # points that walked the eta-continuation
 
     def average(self) -> np.ndarray:
         """Stieltjes transform of the QVE measure at each z."""
@@ -98,6 +105,22 @@ class QveSolution:
 
 def _coupling_matrix(W: StepKernel) -> np.ndarray:
     return W.values * W.partition.part_measures[None, :]
+
+
+def _s_norm(S):
+    """||S||_inf, the largest absolute row sum."""
+    return np.abs(S).sum(axis=1).max()
+
+
+def _row_sum_start(zd, S):
+    """Herglotz root of the scalar QVE -1/m_i = w + s_i m_i per coordinate,
+    w = zd_i and s_i the i-th row sum of S; exact when S has constant row
+    sums.  The root is rationalised, m_i = -2/(w + r) with r = +-sqrt(w^2 -
+    4 s_i) and |w + r| >= |w - r|: the Herglotz root is the one of smaller
+    modulus, and unlike (-w + r)/(2 s_i) this stays finite as s_i -> 0."""
+    r = np.sqrt(zd * zd - 4.0 * S.sum(axis=1))
+    r[np.abs(zd + r) < np.abs(zd - r)] *= -1.0
+    return -2.0 / (zd + r)
 
 
 def _sup_res(m, zd, S):
@@ -193,7 +216,7 @@ def _continuation(z, shift, S):
     wrong sign) that every retry restarts from, so points left unsolved walk
     once more from the top with level tolerances LEVEL_TOL * min(1, h).
     """
-    top = max(4.0, 2.0 * np.sqrt(np.abs(S).sum(axis=1).max()))
+    top = max(4.0, 2.0 * np.sqrt(_s_norm(S)))
     m = np.empty((z.size, S.shape[0]), dtype=complex)
     res = np.full(z.size, np.inf)
     todo = np.arange(z.size)
@@ -234,10 +257,13 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
     ``shift`` optionally adds d_i to z in coordinate i, solving
     -1/m_i = z + d_i + (Sm)_i; it has shape (k,), or (len(z_points), k) for
     one shift per point.  ``m0`` optionally warm-starts Newton at the
-    target z (must lie in the upper half-plane entrywise); points it leaves
-    unconverged, and all points without ``m0``, follow the eta-continuation
-    of ``_continuation``.  MAX_ITER caps the Newton steps per point and
-    level.
+    target z (must lie in the upper half-plane entrywise).  Without ``m0``,
+    a point with Im(z + d_i) >= sqrt(||S||_inf) for every i starts Newton at
+    the target from ``_row_sum_start``: there |m_i| <= 1/Im(z + d_i), so
+    ||diag(m)^2 S||_inf <= 1 and m -> -1/(z + d + Sm) is non-expanding.
+    Points Newton leaves unconverged, and all other points, follow the
+    eta-continuation of ``_continuation``; ``continued`` counts them.
+    MAX_ITER caps the Newton steps per point and level.
     """
     z = np.atleast_1d(np.asarray(z_points, dtype=complex))
     if np.any(z.imag <= 0):
@@ -246,17 +272,20 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
     k = W.k
     d = np.broadcast_to(np.zeros(k) if shift is None else np.asarray(shift, complex),
                         (z.size, k))
+    zd = z[:, None] + d
     if m0 is None:
         m = np.empty((z.size, k), dtype=complex)
         res = np.full(z.size, np.inf)
+        far = np.flatnonzero(zd.imag.min(axis=1) >= np.sqrt(_s_norm(S)))
+        m[far], res[far] = _newton(_row_sum_start(zd[far], S), zd[far], S, RESIDUAL_TOL)
     else:
         m = np.array(m0, dtype=complex).reshape(z.size, k)
         if np.any(m.imag <= 0):
             raise ValueError("warm start must have Im m > 0")
-        m, res = _newton(m, z[:, None] + d, S, RESIDUAL_TOL)
-    bad = ~(res <= RESIDUAL_TOL)
-    if bad.any():
-        m[bad], res[bad] = _continuation(z[bad], d[bad], S)
+        m, res = _newton(m, zd, S, RESIDUAL_TOL)
+    walk = ~(res <= RESIDUAL_TOL)
+    if walk.any():
+        m[walk], res[walk] = _continuation(z[walk], d[walk], S)
 
     bad = ~(res <= RESIDUAL_TOL) | np.any(m.imag <= 0, axis=1)
     if bad.any():
@@ -264,13 +293,13 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
             f"QVE solver failed at {int(bad.sum())} of {z.size} points",
             points=z[bad],
         )
-    return QveSolution(z, m, res, W.partition.part_measures)
+    return QveSolution(z, m, res, W.partition.part_measures, int(walk.sum()))
 
 
 def support_bound(W: StepKernel) -> float:
     """2 * sqrt(||S||_inf): the QVE measure is supported inside [-b, b]."""
     S = _coupling_matrix(W)
-    return float(2.0 * np.sqrt(np.abs(S).sum(axis=1).max()))
+    return float(2.0 * np.sqrt(_s_norm(S)))
 
 
 def default_grid(W: StepKernel) -> SpectralGrid:
@@ -415,7 +444,7 @@ def stability_check(W: StepKernel, d, z) -> CheckReport:
     z = complex(z)
     d = np.asarray(d, dtype=complex)
     S = _coupling_matrix(W)
-    snorm = float(np.abs(S).sum(axis=1).max())
+    snorm = float(_s_norm(S))
     threshold = max(STABILITY_KAPPA * max(snorm, 1.0) ** 2, abs(z.real))
     if z.imag < threshold:
         raise PreconditionViolated(

@@ -65,6 +65,14 @@ class TestQveSolve:
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["cmd"] == "qve-solve"
 
+    def test_summary_counts_continued_points(self, const1_kernel, capsys):
+        # 2i is above the contraction height 1 of the constant kernel, where
+        # the row-sum start solves it; the two points below it walk
+        code, _, err = run(["qve-solve", "--kernel", const1_kernel, "--z", "0+2i",
+                            "--z", "0.5+0.05i", "--z", "1+0.1i"], capsys)
+        assert code == 0
+        assert json.loads(err.strip().splitlines()[-1])["continued"] == 2
+
     def test_invalid_z_exits_2(self, const1_kernel, capsys):
         code, _, _ = run(
             ["qve-solve", "--kernel", const1_kernel, "--z", "0-2i"], capsys)

@@ -220,11 +220,21 @@ class TestSolveQve:
             qve.solve_qve(StepKernel.constant(1.0), [1.0 - 1j])
 
     def test_not_converged_lists_points(self, monkeypatch):
+        # both points lie below sqrt(||S||_inf) = 1, where no start is exact
         monkeypatch.setattr(qve, "MAX_ITER", 0)
         with pytest.raises(NotConverged) as exc:
-            qve.solve_qve(StepKernel.constant(1.0), [2j, 1 + 1j])
-        assert exc.value.points == [2j, 1 + 1j]
+            qve.solve_qve(StepKernel.constant(1.0), [0.5 + 0.05j, 1 + 0.1j])
+        assert exc.value.points == [0.5 + 0.05j, 1 + 0.1j]
         assert exc.value.exit_code == 1
+
+    def test_continued_counts_the_walks(self, continuation_sizes):
+        # 1i is the contraction height of the constant kernel, 2i above it and
+        # 0.5 + 0.05i below it; a warm start at the target walks nothing
+        W = StepKernel.constant(1.0)
+        sol = qve.solve_qve(W, [2j, 0.5 + 0.05j, 1j])
+        assert sol.continued == 1 and continuation_sizes == [1]
+        warm = qve.solve_qve(W, sol.z_points, m0=sol.m_values)
+        assert warm.continued == 0 and continuation_sizes == [1]
 
     def test_continuation_near_axis_small_entries(self):
         # a level accepted at LEVEL_TOL with Re m of the wrong sign used to
@@ -283,6 +293,85 @@ class TestSolveQve:
             z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 3.0))
             m = qve.solve_qve(W, [z]).m_values[0]
             assert np.abs(m - damped_oracle(S, z)).max() <= 1e-9
+
+
+def unequal_kernel(rng, k, scale):
+    """Symmetric values in [0, 4 scale] on k parts of unequal measure, one
+    row zero when k is even."""
+    cuts = np.sort(rng.choice(np.arange(1, 64), size=k - 1, replace=False)) / 64.0
+    vals = scale * rng.uniform(0.0, 4.0, size=(k, k))
+    vals = 0.5 * (vals + vals.T)
+    if k % 2 == 0:
+        r = int(rng.integers(k))
+        vals[r, :] = vals[:, r] = 0.0
+    return StepKernel(Partition([*cuts, 1.0]), vals)
+
+
+class TestRowSumStart:
+    """Far from the axis Newton starts at the target from the scalar QVE of
+    each row sum, and only its misses walk the continuation."""
+
+    @pytest.fixture
+    def no_continuation(self, monkeypatch):
+        def fail(z, shift, S):
+            raise AssertionError(f"{z.size} points walked the continuation")
+
+        monkeypatch.setattr(qve, "_continuation", fail)
+
+    @pytest.mark.parametrize("W", [
+        StepKernel.constant(1.0),
+        StepKernel.constant(0.0, 3),
+        StepKernel(Partition.equal(2), [[3.0, 1.0], [1.0, 3.0]]),
+        StepKernel(Partition.equal(3), [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]]),
+        StepKernel(Partition([0.25, 1.0]), [[4.0, 0.0], [0.0, 4.0 / 3.0]]),
+    ], ids=["constant", "zero", "two-part", "circulant", "block-unequal"])
+    def test_exact_for_constant_row_sums(self, W, no_continuation):
+        # [DERIVED] with s_i = s for all i, m_i = m solves -1/m = z + s m, so
+        # the start is the QVE solution and Newton has nothing left to do
+        S = qve._coupling_matrix(W)
+        assert np.ptp(S.sum(axis=1)) <= 1e-15
+        b = qve.support_bound(W)
+        z = np.linspace(-b - 1.0, b + 1.0, 7) + 1j * max(b / 2.0, 1e-3)
+        start = qve._row_sum_start(z[:, None] + np.zeros(W.k), S)
+        assert qve._sup_res(start, z[:, None] + np.zeros(W.k), S).max() <= qve.RESIDUAL_TOL
+        sol = qve.solve_qve(W, z)
+        assert sol.continued == 0
+        assert np.array_equal(sol.m_values, start)
+        assert (sol.m_values.imag > 0).all()
+
+    def test_matches_continuation_on_seeded_kernels(self, continuation_sizes):
+        # unequal parts, zero rows and values scaled over four decades, at
+        # Im z from the contraction height sqrt(||S||_inf) = b/2 up to 2b:
+        # no point walks, and each is the Herglotz solution the continuation
+        # alone reaches
+        rng = np.random.default_rng(30)
+        for trial in range(60):
+            k = 1 + trial % 8
+            W = unequal_kernel(rng, k, 10.0 ** rng.uniform(-2.0, 2.0))
+            S = qve._coupling_matrix(W)
+            b = qve.support_bound(W)
+            z = (rng.uniform(-b - 1.0, b + 1.0, 6)
+                 + 1j * np.append(b / 2.0, rng.uniform(b / 2.0, 2.0 * b, 5)))
+            sol = qve.solve_qve(W, z)
+            assert sol.continued == 0 and continuation_sizes == []
+            assert sol.residuals.max() <= qve.RESIDUAL_TOL
+            assert (sol.m_values.imag > 0).all()
+            want, res = qve._continuation(z, np.zeros((z.size, k)), S)
+            continuation_sizes.clear()
+            assert res.max() <= qve.RESIDUAL_TOL
+            assert np.abs(sol.m_values - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("s", [0.0, 1e-300])
+    def test_tiny_row_sums_give_a_finite_start(self, s):
+        # [DERIVED] as s -> 0 the Herglotz root tends to -1/z; the textbook
+        # (-w + r)/(2s) overflows there, and any RuntimeWarning is an error
+        z = np.array([[2j], [0.5 + 1e-3j], [-3.0 + 1e-150j]])
+        start = qve._row_sum_start(z, np.array([[s]]))
+        assert np.isfinite(start).all() and (start.imag > 0).all()
+        assert np.allclose(start, -1.0 / z, rtol=1e-15, atol=0.0)
+        sol = qve.solve_qve(StepKernel.constant(s, 2), z.ravel())
+        assert sol.residuals.max() <= qve.RESIDUAL_TOL
+        assert np.allclose(sol.m_values, -1.0 / z, rtol=1e-15, atol=0.0)
 
 
 class TestQveStieltjes:
