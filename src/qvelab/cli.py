@@ -90,10 +90,9 @@ def _summary(cmd, **extra):
 
 def cmd_qve_solve(args):
     W = kernels.load_kernel(args.kernel)
-    zs = [parse_complex(z) for z in args.z]
-    sol = qve.solve_qve(W, zs)
+    sol = qve.solve_qve(W, args.z)
     _write(args.out, qve.solution_to_json(sol))
-    _summary("qve-solve", points=len(zs), max_residual=float(sol.residuals.max()),
+    _summary("qve-solve", points=len(args.z), max_residual=float(sol.residuals.max()),
              continued=sol.continued)
     return 0
 
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qve-solve", help="solve the QVE at given z points")
     sp.add_argument("--kernel", required=True,
                     help="kernel JSON {'boundaries':[...],'values':[[...]]}")
-    sp.add_argument("--z", action="append", required=True,
+    sp.add_argument("--z", action="append", required=True, type=parse_complex,
                     help="complex point 'a+bi' (repeatable)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
 

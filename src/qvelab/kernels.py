@@ -26,13 +26,18 @@ _TOL = 1e-12
 
 
 def _as_boundary(b):
-    """Normalize a boundary entry: Fractions stay exact, everything else -> float."""
+    """Normalize a boundary entry: Fractions stay exact, ints and strings such
+    as "1/3" become Fractions, everything else -> float.  A string that
+    Fraction rejects ("1/0", "x") raises a ValueError that names it."""
     if isinstance(b, Fraction):
         return b
     if isinstance(b, int):
         return Fraction(b)
     if isinstance(b, str):
-        return Fraction(b)
+        try:
+            return Fraction(b)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"partition boundary {b!r} is not a fraction") from exc
     return float(b)
 
 
@@ -410,8 +415,7 @@ def kernel_from_json(text: str) -> StepKernel:
     for key in ("boundaries", "values"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"kernel JSON has no {key!r} key")
-    bounds = [Fraction(b) if isinstance(b, str) else float(b)
-              for b in data["boundaries"]]
+    bounds = [b if isinstance(b, str) else float(b) for b in data["boundaries"]]
     return StepKernel(Partition(bounds), data["values"])
 
 

@@ -308,7 +308,8 @@ def load_measure_csv(path) -> ProbMeasure1D:
     ``save_eigenvalues_csv`` writes), ``x,weight`` (atoms) or
     ``x,density,cdf`` (a grid); ValueError for any other header, for a row
     whose field count differs from the header's, for a value that is not
-    finite, or for a file with no rows."""
+    finite, for a grid whose x does not strictly increase, or for a file
+    with no rows."""
     with open(path) as fh:
         header = fh.readline().strip()
         width = _MEASURE_CSV_WIDTH.get(header)
@@ -331,4 +332,9 @@ def load_measure_csv(path) -> ProbMeasure1D:
         return ProbMeasure1D.from_atoms(data[:, 0])
     if width == 2:
         return ProbMeasure1D.from_atoms(data[:, 0], data[:, 1])
+    down = np.flatnonzero(~(np.diff(data[:, 0]) > 0))
+    if down.size:
+        r = down[0] + 2
+        raise ValueError(f"{path}: grid x {float(data[r - 1, 0])!r} in data row {r} "
+                         f"does not exceed the row before")
     return ProbMeasure1D.from_grid_cdf(data[:, 0], data[:, 1], data[:, 2])

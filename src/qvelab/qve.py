@@ -4,20 +4,20 @@ For a kernel on k parts with values V and part measures lambda the QVE reads
 -1/m_i = z + sum_j S_ij m_j with S_ij = V_ij * lambda_j; its unique solution
 with Im m > 0 encodes the spectral (QVE) measure of the kernel.
 
-The solver is damped Newton.  Far from the axis, at Im z >= sqrt(||S||_inf)
-(half the support bound), the map m -> -1/(z + Sm) is non-expanding, since
-||diag(m)^2 S||_inf <= ||S||_inf / (Im z)^2 (Ajanki, Erdos and Krueger,
-Quadratic Vector Equations on Complex Upper Half-Plane), so Newton runs at the
-target itself from the row-sum start: coordinate i solves the scalar QVE
--1/m_i = z + s_i m_i with s_i the i-th row sum of S, which is exact for
-kernels with constant row sums.  Every other point, and a far point Newton
-misses, walks the eta-continuation.  It starts at Im z = max(4, 2
-sqrt(||S||_inf)), where m -> -1/(z + Sm) contracts, and walks Im z down to
-its target by a fixed factor, each level warm-started from the level above;
-the QVE solution is stable in z, so the walk stays on the Herglotz branch,
-and a Newton step is only taken while it lowers the residual and keeps
-Im m > 0.  A level that a point misses is retried from the level above with
-a finer factor, and a point left unsolved walks once more with tighter
+The solver is damped Newton, walked down the eta-continuation.  The first
+level of a point z with shift d lies at height h = max(Im z, sqrt(||S||_inf)
+- min_i Im d_i), so that Im(h + d_i) >= sqrt(||S||_inf) in every coordinate.
+There the map m -> -1/(z + d + Sm) is non-expanding, since |m_i| <=
+1/Im(z + d_i) gives ||diag(m)^2 S||_inf <= 1 (Ajanki, Erdos and Krueger,
+Quadratic Vector Equations on Complex Upper Half-Plane), and Newton starts
+from the row-sum start: coordinate i solves the scalar QVE -1/m_i = z + d_i
++ s_i m_i with s_i the i-th row sum of S, which is exact for kernels with
+constant row sums.  A point at or above that height is solved by this one
+level at its target.  Every other point walks its height down to the target
+by a fixed factor, each level warm-started from the level above; the QVE
+solution is stable in z, so the walk stays on the Herglotz branch, and a
+Newton step is only taken while it lowers the residual and keeps Im m > 0.
+Near a cusp, the points the walk leaves unsolved walk once more with looser
 levels.  Accepted solutions always satisfy the residual and Herglotz
 contracts; failures raise per-point, never silently.
 
@@ -96,7 +96,7 @@ class QveSolution:
     m_values: np.ndarray           # (nz, k) complex, Im > 0
     residuals: np.ndarray          # (nz,) sup-norm residuals
     part_measures: np.ndarray      # (k,) part measures of the kernel
-    continued: int                 # points that walked the eta-continuation
+    continued: int                 # points whose first level lies above their target
 
     def average(self) -> np.ndarray:
         """Stieltjes transform of the QVE measure at each z."""
@@ -117,10 +117,18 @@ def _row_sum_start(zd, S):
     w = zd_i and s_i the i-th row sum of S; exact when S has constant row
     sums.  The root is rationalised, m_i = -2/(w + r) with r = +-sqrt(w^2 -
     4 s_i) and |w + r| >= |w - r|: the Herglotz root is the one of smaller
-    modulus, and unlike (-w + r)/(2 s_i) this stays finite as s_i -> 0."""
-    r = np.sqrt(zd * zd - 4.0 * S.sum(axis=1))
-    r[np.abs(zd + r) < np.abs(zd - r)] *= -1.0
-    return -2.0 / (zd + r)
+    modulus, and unlike (-w + r)/(2 s_i) this stays finite as s_i -> 0.
+    It is formed in w / 2^e and s_i / 4^e, 2^e >= max(|Re w|, |Im w|,
+    sqrt(s_i)), so w^2 - 4 s_i cannot overflow where m_i is finite; a power
+    of two scales exactly, so away from under- and overflow the bits are
+    those of the unscaled formula."""
+    s = S.sum(axis=1)
+    e = np.frexp(np.maximum(np.maximum(np.abs(zd.real), np.abs(zd.imag)), np.sqrt(s)))[1]
+    w = np.ldexp(zd.real, -e) + 1j * np.ldexp(zd.imag, -e)
+    r = np.sqrt(w * w - 4.0 * np.ldexp(s, -2 * e))
+    r[np.abs(w + r) < np.abs(w - r)] *= -1.0
+    m = -2.0 / (w + r)
+    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
 
 
 def _sup_res(m, zd, S):
@@ -200,54 +208,51 @@ def _newton(m, zd, S, tol):
 
 
 def _continuation(z, shift, S):
-    """Newton down from Im z = top to the target Im z, one level at a time.
+    """The eta-continuation of the module docstring, for points z with
+    shifts ``shift`` (one row per point).
 
-    At the top height max(4, 2 sqrt(||S||_inf)) the map m -> -1/(z + Sm)
-    contracts, so Newton from -1/z converges there.  Each point then divides
-    its height by its factor (CONTINUATION_FACTOR to start), warm-started from
-    the level above: the QVE solution is stable in z, so that start lies on
-    the Herglotz branch.  Levels above the target only need to start the next
-    one, so they stop at LEVEL_TOL; the target level at RESIDUAL_TOL.  A
-    level that misses its tolerance is retried from the level above with the
-    square root of the factor; a point whose factor falls below MIN_FACTOR
-    keeps an infinite residual.
+    A walk solves each point's first level, at h = max(Im z, sqrt(||S||_inf)
+    - min_i Im d_i), by Newton from ``_row_sum_start``.  Each later level
+    divides the height by the point's factor (CONTINUATION_FACTOR to start)
+    and warm-starts from the level above; a level that misses its tolerance
+    is retried from the level above with the square root of the factor.  The
+    target level stops at RESIDUAL_TOL, and the levels above it at LEVEL_TOL
+    * min(1, h), since near the axis a looser level can accept an iterate off
+    the branch (Re m of the wrong sign).  Near a cusp, where the Jacobian's
+    condition number reaches 1e13, Newton can stall short of those levels,
+    so the points left unsolved walk again with levels at LEVEL_TOL.  A point
+    that misses its first level, or whose factor falls below MIN_FACTOR, in
+    both walks keeps an infinite residual.
 
-    Near the axis a level can accept an iterate off the branch (Re m of the
-    wrong sign) that every retry restarts from, so points left unsolved walk
-    once more from the top with level tolerances LEVEL_TOL * min(1, h).
+    Returns m, the residuals and the number of points with h > Im z.
     """
-    top = max(4.0, 2.0 * np.sqrt(_s_norm(S)))
-    m = np.empty((z.size, S.shape[0]), dtype=complex)
-    res = np.full(z.size, np.inf)
-    todo = np.arange(z.size)
-    for power in (0, 1):   # level tolerance LEVEL_TOL * min(1, h) ** power
-        zt, st = z[todo], shift[todo]
+    first = np.maximum(z.imag, np.sqrt(_s_norm(S)) - shift.imag.min(axis=1))
 
-        def level_tol(h, target):
-            loose = np.maximum(RESIDUAL_TOL, LEVEL_TOL * np.minimum(1.0, h) ** power)
-            return np.where(h == target, RESIDUAL_TOL, loose)
+    def walk(zt, st, height, loose):
+        def level(h, pts, m):
+            zd = (zt[pts].real + 1j * h)[:, None] + st[pts]
+            tol = LEVEL_TOL * (1.0 if loose else np.minimum(1.0, h))
+            tol = np.where(h == zt.imag[pts], RESIDUAL_TOL, np.maximum(RESIDUAL_TOL, tol))
+            m, res = _newton(_row_sum_start(zd, S) if m is None else m, zd, S, tol)
+            return m, res, res <= tol
 
-        height = np.maximum(zt.imag, top)
-        zd = (zt.real + 1j * height)[:, None] + st
-        ltol = level_tol(height, zt.imag)
-        mt, rt = _newton(-1.0 / zd, zd, S, ltol)
-        factor = np.full(todo.size, CONTINUATION_FACTOR)
-        live = np.flatnonzero((height > zt.imag) & (rt <= ltol))
+        m, res, ok = level(height, np.arange(zt.size), None)
+        factor = np.full(zt.size, CONTINUATION_FACTOR)
+        live = np.flatnonzero((height > zt.imag) & ok)
         while live.size:
             h = np.maximum(zt.imag[live], height[live] / factor[live])
-            zd = (zt[live].real + 1j * h)[:, None] + st[live]
-            ltol = level_tol(h, zt.imag[live])
-            mn, rn = _newton(mt[live], zd, S, ltol)
-            ok = rn <= ltol
-            mt[live[ok]], rt[live[ok]], height[live[ok]] = mn[ok], rn[ok], h[ok]
+            mn, rn, ok = level(h, live, m[live])
+            m[live[ok]], res[live[ok]], height[live[ok]] = mn[ok], rn[ok], h[ok]
             factor[live[~ok]] = np.sqrt(factor[live[~ok]])
             live = live[(height[live] > zt.imag[live]) & (factor[live] >= MIN_FACTOR)]
-        rt[height > zt.imag] = np.inf
-        m[todo], res[todo] = mt, rt
-        todo = todo[~(rt <= RESIDUAL_TOL)]
-        if todo.size == 0:
-            break
-    return m, res
+        res[height > zt.imag] = np.inf
+        return m, res
+
+    m, res = walk(z, shift, first.copy(), False)
+    left = np.flatnonzero(~(res <= RESIDUAL_TOL))
+    if left.size:
+        m[left], res[left] = walk(z[left], shift[left], first[left], True)
+    return m, res, int((first > z.imag).sum())
 
 
 def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
@@ -256,14 +261,13 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
 
     ``shift`` optionally adds d_i to z in coordinate i, solving
     -1/m_i = z + d_i + (Sm)_i; it has shape (k,), or (len(z_points), k) for
-    one shift per point.  ``m0`` optionally warm-starts Newton at the
-    target z (must lie in the upper half-plane entrywise).  Without ``m0``,
-    a point with Im(z + d_i) >= sqrt(||S||_inf) for every i starts Newton at
-    the target from ``_row_sum_start``: there |m_i| <= 1/Im(z + d_i), so
-    ||diag(m)^2 S||_inf <= 1 and m -> -1/(z + d + Sm) is non-expanding.
-    Points Newton leaves unconverged, and all other points, follow the
-    eta-continuation of ``_continuation``; ``continued`` counts them.
-    MAX_ITER caps the Newton steps per point and level.
+    one shift per point.  Without ``m0`` every point walks ``_continuation``.
+    ``m0`` optionally warm-starts Newton at the target z (must lie in the
+    upper half-plane entrywise), and only the points it leaves unconverged
+    walk.  ``continued`` counts the walking points whose first level lies
+    above their target, that is the points with Im(z + d_i) <
+    sqrt(||S||_inf) for some i.  MAX_ITER caps the Newton steps per point
+    and level.
     """
     z = np.atleast_1d(np.asarray(z_points, dtype=complex))
     if np.any(z.imag <= 0):
@@ -272,20 +276,15 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
     k = W.k
     d = np.broadcast_to(np.zeros(k) if shift is None else np.asarray(shift, complex),
                         (z.size, k))
-    zd = z[:, None] + d
     if m0 is None:
-        m = np.empty((z.size, k), dtype=complex)
-        res = np.full(z.size, np.inf)
-        far = np.flatnonzero(zd.imag.min(axis=1) >= np.sqrt(_s_norm(S)))
-        m[far], res[far] = _newton(_row_sum_start(zd[far], S), zd[far], S, RESIDUAL_TOL)
+        m, res, continued = _continuation(z, d, S)
     else:
         m = np.array(m0, dtype=complex).reshape(z.size, k)
         if np.any(m.imag <= 0):
             raise ValueError("warm start must have Im m > 0")
-        m, res = _newton(m, zd, S, RESIDUAL_TOL)
-    walk = ~(res <= RESIDUAL_TOL)
-    if walk.any():
-        m[walk], res[walk] = _continuation(z[walk], d[walk], S)
+        m, res = _newton(m, z[:, None] + d, S, RESIDUAL_TOL)
+        walk = ~(res <= RESIDUAL_TOL)
+        m[walk], res[walk], continued = _continuation(z[walk], d[walk], S)
 
     bad = ~(res <= RESIDUAL_TOL) | np.any(m.imag <= 0, axis=1)
     if bad.any():
@@ -293,7 +292,7 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
             f"QVE solver failed at {int(bad.sum())} of {z.size} points",
             points=z[bad],
         )
-    return QveSolution(z, m, res, W.partition.part_measures, int(walk.sum()))
+    return QveSolution(z, m, res, W.partition.part_measures, continued)
 
 
 def support_bound(W: StepKernel) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExactTooLarge, PartitionMismatch
+from .errors import DomainError, ExactTooLarge, PartitionMismatch
 from .kernels import StepKernel, cut_norm, degree_function
 from .report import CheckReport
 
@@ -153,18 +153,24 @@ def hom_density(tree: RootedPlanarTree, W) -> float:
 
 
 def _even_moments(W: StepKernel, n: int) -> np.ndarray:
-    """M_0, M_2, ..., M_2n of the QVE measure by the vector Catalan recursion."""
+    """M_0, M_2, ..., M_2n of the QVE measure by the vector Catalan recursion;
+    DomainError naming the first order whose moment overflows."""
     mu = W.partition.part_measures
     S = W.values * mu[None, :]
     a = np.empty((n + 1, W.k))
     Sa = np.empty((n + 1, W.k))
     a[0] = 1.0
     Sa[0] = S @ a[0]
-    for j in range(1, n + 1):
-        a[j] = (a[:j] * Sa[j - 1::-1]).sum(axis=0)
-        Sa[j] = S @ a[j]
-    # a row-wise sum, unlike a @ mu, rounds each row the same for every n
-    return (a * mu).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n + 1):
+            a[j] = (a[:j] * Sa[j - 1::-1]).sum(axis=0)
+            Sa[j] = S @ a[j]
+        # a row-wise sum, unlike a @ mu, rounds each row the same for every n
+        moments = (a * mu).sum(axis=1)
+    over = np.flatnonzero(~np.isfinite(moments))
+    if over.size:
+        raise DomainError(f"moment of order {2 * over[0]} overflows a float")
+    return moments
 
 
 def qve_moment(order: int, W: StepKernel) -> float:

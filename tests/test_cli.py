@@ -78,6 +78,32 @@ class TestQveSolve:
             ["qve-solve", "--kernel", const1_kernel, "--z", "0-2i"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("z", ["foo", "2i", "1+2j", "nan+1i", "0+infi"])
+    def test_unparsable_z_exits_2_through_argparse(self, const1_kernel, z, capsys):
+        code, out, err = run(["qve-solve", "--kernel", const1_kernel, f"--z={z}"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument --z: cannot parse complex number {z!r}" in err
+
+    @pytest.mark.parametrize("value, z, code, error", [
+        (1e308, "0+1i", 0, None),
+        (1e308, "1e154+1e100i", 0, None),
+        # Im m underflows to 0, off the Herglotz branch
+        (1.0, "1e300+1i", 1, "NotConverged"),
+    ])
+    def test_extreme_inputs_print_one_json_line(self, tmp_path, value, z, code,
+                                                 error, capsys):
+        # w^2 - 4 s of the row-sum start overflows unless it is scaled; any
+        # RuntimeWarning is an error here
+        path = tmp_path / "W.json"
+        kernels.save_kernel(StepKernel.constant(value), path)
+        got, _, err = run(["qve-solve", "--kernel", str(path), f"--z={z}"], capsys)
+        assert got == code
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]).get("error") == error
+
 
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
@@ -211,6 +237,42 @@ class TestExitCodes:
         assert len(lines) == 1
         line = json.loads(lines[0])
         assert line["error"] == "ValueError" and repr(key) in line["message"]
+
+    @pytest.mark.parametrize("argv", [["qve-solve", "--z=0+1i"], ["moments"],
+                                      ["cutnorm"], ["compare", "--b", "semicircle", "--a"]])
+    def test_boundary_fraction_rejects_exits_2(self, tmp_path, argv, capsys):
+        path = tmp_path / "W.json"
+        path.write_text('{"boundaries": ["1/0"], "values": [[1.0]]}')
+        flag = [] if argv[-1] == "--a" else ["--kernel"]
+        code, out, err = run([*argv, *flag, str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        line = json.loads(err.strip())
+        assert line == {"error": "ValueError",
+                        "message": "partition boundary '1/0' is not a fraction"}
+
+    def test_grid_csv_x_not_increasing_exits_2(self, tmp_path, capsys):
+        # a grid read backwards used to give ks = 0.5 and exit 0
+        path = tmp_path / "rho.csv"
+        path.write_text("x,density,cdf\n1,1,1\n0,1,0\n")
+        code, out, err = run(["compare", "--a", str(path), "--b", "semicircle"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        line = json.loads(err.strip())
+        assert line["error"] == "ValueError"
+        assert "grid x 0.0 in data row 2 does not exceed the row before" in line["message"]
+
+    def test_moment_overflow_exits_2_naming_the_order(self, const1_kernel, capsys):
+        # [DERIVED] M_2j = Catalan(j) first exceeds the float range at 2j = 1040;
+        # any RuntimeWarning is an error here
+        code, out, err = run(["moments", "--kernel", const1_kernel,
+                              "--max-order", "3000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "DomainError",
+            "message": "moment of order 1040 overflows a float"}
 
     def test_measure_row_with_wrong_field_count_exits_2(self, tmp_path, capsys):
         path = tmp_path / "atoms.csv"

@@ -229,12 +229,13 @@ class TestSolveQve:
 
     def test_continued_counts_the_walks(self, continuation_sizes):
         # 1i is the contraction height of the constant kernel, 2i above it and
-        # 0.5 + 0.05i below it; a warm start at the target walks nothing
+        # 0.5 + 0.05i below it: all three points walk, and only the last
+        # starts above its target; a warm start at the target walks nothing
         W = StepKernel.constant(1.0)
         sol = qve.solve_qve(W, [2j, 0.5 + 0.05j, 1j])
-        assert sol.continued == 1 and continuation_sizes == [1]
+        assert sol.continued == 1 and continuation_sizes == [3]
         warm = qve.solve_qve(W, sol.z_points, m0=sol.m_values)
-        assert warm.continued == 0 and continuation_sizes == [1]
+        assert warm.continued == 0 and continuation_sizes == [3, 0]
 
     def test_continuation_near_axis_small_entries(self):
         # a level accepted at LEVEL_TOL with Re m of the wrong sign used to
@@ -248,6 +249,17 @@ class TestSolveQve:
         warm = qve.solve_qve(W, z, m0=qve.solve_qve(W, z + 0.0005j).m_values)
         assert np.abs(sol.m_values - warm.m_values).max() <= 1e-10
         assert np.abs(sol.m_values[0] + sol.m_values[1].conj()).max() <= 1e-10
+
+    def test_converges_at_the_cusp(self):
+        # z = 1e-7i, near the cusp of this kernel at x = 0: the walk with
+        # tight levels stalls where the Jacobian's condition number reaches
+        # 2e13, and the second walk, with levels at LEVEL_TOL, reaches the
+        # target; m is about (0.0064i, 621i)
+        W = StepKernel(Partition.equal(2), [[3.0, 0.5], [0.5, 0.0]])
+        sol = qve.solve_qve(W, [1e-7j])
+        assert sol.residuals.max() <= qve.RESIDUAL_TOL
+        assert (sol.m_values.imag > 0).all()
+        assert np.abs(sol.m_values[0] - [0.0064j, 621j]).max() <= 0.01 * 621
 
     @settings(max_examples=40, deadline=None)
     @given(vals=kernel_values(), data=st.data())
@@ -274,7 +286,7 @@ class TestSolveQve:
         assert (sol.m_values.imag > 0).all()
 
     def test_uniqueness_two_initializations(self):
-        # uniqueness proxy: default start -1/z vs warm start i*ones
+        # uniqueness proxy: default row-sum start vs warm start i*ones
         rng = np.random.default_rng(1)
         for _ in range(100):
             k = int(rng.integers(1, 4))
@@ -308,15 +320,8 @@ def unequal_kernel(rng, k, scale):
 
 
 class TestRowSumStart:
-    """Far from the axis Newton starts at the target from the scalar QVE of
-    each row sum, and only its misses walk the continuation."""
-
-    @pytest.fixture
-    def no_continuation(self, monkeypatch):
-        def fail(z, shift, S):
-            raise AssertionError(f"{z.size} points walked the continuation")
-
-        monkeypatch.setattr(qve, "_continuation", fail)
+    """Every point's first level starts Newton from the scalar QVE of each
+    row sum, at or above the contraction height sqrt(||S||_inf)."""
 
     @pytest.mark.parametrize("W", [
         StepKernel.constant(1.0),
@@ -325,7 +330,7 @@ class TestRowSumStart:
         StepKernel(Partition.equal(3), [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]]),
         StepKernel(Partition([0.25, 1.0]), [[4.0, 0.0], [0.0, 4.0 / 3.0]]),
     ], ids=["constant", "zero", "two-part", "circulant", "block-unequal"])
-    def test_exact_for_constant_row_sums(self, W, no_continuation):
+    def test_exact_for_constant_row_sums(self, W):
         # [DERIVED] with s_i = s for all i, m_i = m solves -1/m = z + s m, so
         # the start is the QVE solution and Newton has nothing left to do
         S = qve._coupling_matrix(W)
@@ -339,27 +344,45 @@ class TestRowSumStart:
         assert np.array_equal(sol.m_values, start)
         assert (sol.m_values.imag > 0).all()
 
-    def test_matches_continuation_on_seeded_kernels(self, continuation_sizes):
+    def test_matches_continuation_on_seeded_kernels(self):
         # unequal parts, zero rows and values scaled over four decades, at
         # Im z from the contraction height sqrt(||S||_inf) = b/2 up to 2b:
-        # no point walks, and each is the Herglotz solution the continuation
-        # alone reaches
+        # no point starts above its target, and each is the Herglotz
+        # solution that Newton at the target reaches from another start, the
+        # solution one support bound higher
         rng = np.random.default_rng(30)
         for trial in range(60):
             k = 1 + trial % 8
             W = unequal_kernel(rng, k, 10.0 ** rng.uniform(-2.0, 2.0))
-            S = qve._coupling_matrix(W)
             b = qve.support_bound(W)
             z = (rng.uniform(-b - 1.0, b + 1.0, 6)
                  + 1j * np.append(b / 2.0, rng.uniform(b / 2.0, 2.0 * b, 5)))
             sol = qve.solve_qve(W, z)
-            assert sol.continued == 0 and continuation_sizes == []
+            assert sol.continued == 0
             assert sol.residuals.max() <= qve.RESIDUAL_TOL
             assert (sol.m_values.imag > 0).all()
-            want, res = qve._continuation(z, np.zeros((z.size, k)), S)
-            continuation_sizes.clear()
-            assert res.max() <= qve.RESIDUAL_TOL
-            assert np.abs(sol.m_values - want).max() <= 1e-10
+            want = qve.solve_qve(W, z, m0=qve.solve_qve(W, z + 1j * b).m_values)
+            assert want.continued == 0
+            assert np.abs(sol.m_values - want.m_values).max() <= 1e-10
+
+    def test_scaled_start_matches_the_unscaled_formula(self):
+        # [DERIVED] scaling by a power of two is exact away from under- and
+        # overflow, so on ordinary inputs the scaled start has the bits of
+        # the unscaled formula
+        def unscaled(zd, S):
+            r = np.sqrt(zd * zd - 4.0 * S.sum(axis=1))
+            r[np.abs(zd + r) < np.abs(zd - r)] *= -1.0
+            return -2.0 / (zd + r)
+
+        rng = np.random.default_rng(36)
+        for trial in range(300):
+            k = 1 + trial % 8
+            S = qve._coupling_matrix(unequal_kernel(rng, k, 10.0 ** rng.uniform(-2.0, 2.0)))
+            zd = (rng.uniform(-10.0, 10.0, (40, 1))
+                  + 1j * 10.0 ** rng.uniform(-4.0, 1.0, (40, 1)) + np.zeros(k))
+            if trial % 2:
+                zd += rng.normal(size=zd.shape) + 1j * rng.uniform(0.0, 1.0, zd.shape)
+            assert np.array_equal(qve._row_sum_start(zd, S), unscaled(zd, S))
 
     @pytest.mark.parametrize("s", [0.0, 1e-300])
     def test_tiny_row_sums_give_a_finite_start(self, s):
