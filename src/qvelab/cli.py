@@ -118,9 +118,13 @@ def cmd_moments(args):
 
 def cmd_rate(args):
     law = _load_law(args.law)
+    if args.num < 1:
+        raise DomainError(f"--num must be >= 1, got {args.num}")
     # a finite span needs finite bounds, and keeps linspace from overflowing
     if not math.isfinite(args.u_max - args.u_min):
         raise DomainError("--u-min, --u-max and their span must be finite")
+    if args.u_min > args.u_max:
+        raise DomainError(f"--u-min {args.u_min!r} exceeds --u-max {args.u_max!r}")
     us = np.linspace(args.u_min, args.u_max, args.num)
     rows = rates.rate_table(law, us)
     text = "u,h_L\n" + "".join(f"{u!r},{h!r}\n" for u, h in rows)

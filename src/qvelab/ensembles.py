@@ -65,7 +65,7 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def _row_stage(seed: int, i: np.ndarray) -> np.ndarray:
     """The hash of (seed, i) for each uint64 row index in i."""
-    h = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) + _INC
+    h = np.array([seed], dtype=np.uint64) + _INC
     h = _mix64(h, np.empty_like(h))
     h = h ^ (i * _M1 + _INC)
     return _mix64(h, np.empty_like(h))
@@ -79,17 +79,6 @@ def _col_key(j: np.ndarray) -> np.ndarray:
 def _uniform(h: np.ndarray) -> np.ndarray:
     """The top 53 bits of each hash as a float in [0, 1)."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def entry_uniform(seed: int, i: np.ndarray, j: np.ndarray, stream: int) -> np.ndarray:
-    """Deterministic uniform in [0,1) attached to the entry (i,j) of a stream."""
-    i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64),
-                               np.asarray(j, dtype=np.uint64))
-    h = _row_stage(seed, i.ravel()) ^ _col_key(j.ravel())
-    tmp = np.empty_like(h)
-    _mix64(h, tmp)
-    h ^= np.uint64(stream) + _INC
-    return _uniform(_mix64(h, tmp)).reshape(i.shape)
 
 
 @dataclass
@@ -107,14 +96,6 @@ class SparseWignerSample:
     def entries(self) -> np.ndarray:  # X, symmetric, zero diagonal
         scale = np.sqrt(self.n * self.p)
         return _dense(self.n, self.rows, self.cols, self.values / scale)
-
-    @property
-    def mask(self) -> np.ndarray:  # Xi, symmetric 0/1, zero diagonal
-        return _dense(self.n, self.rows, self.cols, np.ones(self.rows.size))
-
-    @property
-    def raw(self) -> np.ndarray:  # A restricted to the mask support
-        return _dense(self.n, self.rows, self.cols, self.values)
 
     @property
     def edge_count(self) -> int:
@@ -183,19 +164,22 @@ def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
     return SparseWignerSample(n, p, rows, cols, support[idx], seed)
 
 
-def _check_size(n: int, p: float):
-    """The sample size and edge probability every sampler accepts."""
+def _check_inputs(n: int, p: float, seed: int):
+    """The sample size, edge probability and seed every sampler accepts: a
+    seed is a 64-bit unsigned integer, so no two seeds give one sample."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0,1)")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} does not lie in [0, 2^64)")
 
 
 def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
                          seed: int) -> SparseWignerSample:
     """Sparse Wigner matrix: Bernoulli(p) mask above the diagonal, i.i.d. law
     entries, normalized by sqrt(np)."""
-    _check_size(n, p)
+    _check_inputs(n, p, seed)
     return _draw(n, p, seed, law.support, np.zeros(n, dtype=int),
                  np.array([[p]]), law.probs[None, None])
 
@@ -212,7 +196,7 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     u/(1 + p L(theta)) on that block, so U is its p -> 0 limit, not the
     profile itself.
     """
-    _check_size(n, p)
+    _check_inputs(n, p, seed)
     k = U.k
     if n % k != 0:
         raise DivisibilityError(f"block count {k} must divide n = {n}")

@@ -191,7 +191,8 @@ def step_average(W: StepKernel, P: Partition) -> StepKernel:
     mu = P.part_measures
     num = O @ W.values @ O.T
     out = num / np.outer(mu, mu)
-    out = 0.5 * (out + out.T)
+    # halved before the sum, so two finite values cannot overflow it
+    out = 0.5 * out + 0.5 * out.T
     return StepKernel(P, out, signed=W.signed)
 
 

@@ -1,11 +1,12 @@
 """One-dimensional probability measures and the metrics used for spectra.
 
-Measures are finite atomic (values + weights), gridded (x, density, cdf), or
-the QVE measure of a kernel (``qve.QveMeasure``), whose Stieltjes transform
-comes from the QVE solver and whose grid is inverted on first use.
-``metric_d`` evaluates the Stieltjes-transform metric on a fixed grid of
-points with Im z >= 2, so it is a certified lower bound of the sup metric;
-every inequality asserted against it therefore holds a fortiori.
+Measures are finite atomic (values + weights) or gridded (x, density, cdf);
+this module knows only those two kinds.  ``qve.QveMeasure`` subclasses
+``ProbMeasure1D`` for the QVE measure of a kernel and overrides its Stieltjes
+transform, ``_stieltjes``, with the QVE solver's.  ``metric_d`` evaluates the
+Stieltjes-transform metric on a fixed grid of points with Im z >= 2, so it is
+a certified lower bound of the sup metric; every inequality asserted against
+it therefore holds a fortiori.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PartitionMismatch, PreconditionViolated
 from .report import CheckReport
 
 # fixed evaluation grid for metric_d: lower bound of sup over {Im z >= 2}
@@ -27,17 +27,9 @@ METRIC_D_GRID = (_D_RE[:, None] + 1j * _D_IM[None, :]).ravel()
 _BLOCK_ENTRIES = 1 << 15
 # midpoint quantile levels of a Wasserstein distance involving a grid measure
 QUANTILE_GRID = 10_000
-# the grid-inversion slack of W2 <= sqrt(L1); the rounding slacks of
-# d <= 2|E| (d of two QVE measures comes from the solver, within its
-# residual), of d <= min(W1, KS) and of the interlacing precondition
-# |E| >= the measure where the kernels differ; they are constants so that no
-# call can loosen a check
-HW_SLACK = 2e-3
-INTERLACING_SLACK = 1e-9
+# the rounding slack of d <= min(W1, KS), a constant so that no call can
+# loosen the check
 METRIC_SLACK = 1e-9
-INTERLACING_PRECONDITION_SLACK = 1e-12
-# points of hw_check's inversion grid, the grid HW_SLACK is sized for
-HW_GRID_POINTS = 1000
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -147,38 +139,31 @@ class ProbMeasure1D:
             return float(np.sum(self.w * self.x ** order))
         return float(_trapezoid_weights(self.x) @ (self.density * self.x ** order))
 
+    def _stieltjes(self, zs: np.ndarray) -> np.ndarray:
+        """m_mu at each of the points zs.
+
+        Atoms and grids are summed a block of rows at a time: with u = x -
+        Re z and b = Im z, 1/(x - z) = (u + ib)/(u^2 + b^2), so each block
+        takes two real matrix-vector products against the weights.
+        """
+        c = self.w if self.kind == "atoms" else _trapezoid_weights(self.x) * self.density
+        out = np.empty(zs.size, dtype=complex)
+        rows = max(1, _BLOCK_ENTRIES // self.x.size)
+        for lo in range(0, zs.size, rows):
+            zb = zs[lo:lo + rows]
+            u = self.x[None, :] - zb.real[:, None]
+            inv = u * u
+            inv += zb.imag[:, None] ** 2
+            np.reciprocal(inv, out=inv)
+            im = inv @ c
+            u *= inv
+            out[lo:lo + rows] = u @ c + 1j * zb.imag * im
+        return out
+
 
 def _cumtrapz(y, x):
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
-    return out
-
-
-def _stieltjes_at(mu: ProbMeasure1D, zs: np.ndarray) -> np.ndarray:
-    """m_mu at each of the points zs.
-
-    A QVE measure answers with the solver's mean m(z) . lambda at zs, from its
-    kernel and not from a grid.  Atoms and grids are summed a block of rows
-    at a time: with u = x - Re z and b = Im z, 1/(x - z) = (u + ib)/(u^2 +
-    b^2), so each block takes two real matrix-vector products against the
-    weights.
-    """
-    if mu.kind == "qve":
-        from . import qve
-
-        return qve.solve_qve(mu.kernel, zs).average()
-    c = mu.w if mu.kind == "atoms" else _trapezoid_weights(mu.x) * mu.density
-    out = np.empty(zs.size, dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // mu.x.size)
-    for lo in range(0, zs.size, rows):
-        zb = zs[lo:lo + rows]
-        u = mu.x[None, :] - zb.real[:, None]
-        inv = u * u
-        inv += zb.imag[:, None] ** 2
-        np.reciprocal(inv, out=inv)
-        im = inv @ c
-        u *= inv
-        out[lo:lo + rows] = u @ c + 1j * zb.imag * im
     return out
 
 
@@ -188,7 +173,7 @@ def _stieltjes_at(mu: ProbMeasure1D, zs: np.ndarray) -> np.ndarray:
 
 def metric_d(mu: ProbMeasure1D, nu: ProbMeasure1D) -> float:
     """Max of |m_mu - m_nu| over the fixed grid with Im z >= 2."""
-    diffs = _stieltjes_at(mu, METRIC_D_GRID) - _stieltjes_at(nu, METRIC_D_GRID)
+    diffs = mu._stieltjes(METRIC_D_GRID) - nu._stieltjes(METRIC_D_GRID)
     return float(np.abs(diffs).max())
 
 
@@ -230,57 +215,6 @@ def metric_inequality_check(mu: ProbMeasure1D, nu: ProbMeasure1D) -> CheckReport
     ks = ks_distance(mu, nu)
     rhs = min(w1, ks)
     return CheckReport(d, rhs, d <= rhs + METRIC_SLACK, {"w1": w1, "ks": ks})
-
-
-# ---------------------------------------------------------------------------
-# appendix inequalities on QVE measures (lazy import avoids a module cycle)
-
-
-def hw_check(W, W_prime) -> CheckReport:
-    """Hoeffding/Wielandt-style bound: W2 of the spectral measures is at most
-    sqrt of the L1 distance of the kernels, up to the inversion slack
-    HW_SLACK.  Both kernels are inverted on one grid of HW_GRID_POINTS points
-    at Im z = GRID_ETA over +-(b + 1), b the larger of their support bounds."""
-    from . import kernels as kmod
-    from . import qve
-
-    b = max(qve.support_bound(W), qve.support_bound(W_prime))
-    grid = qve.SpectralGrid(-b - 1.0, b + 1.0, HW_GRID_POINTS, qve.GRID_ETA)
-    lhs = wasserstein(qve.qve_measure(W, grid), qve.qve_measure(W_prime, grid), 2)
-    rhs = float(np.sqrt(kmod.l1_norm(W.sub(W_prime))))
-    return CheckReport(lhs, rhs + HW_SLACK, lhs <= rhs + HW_SLACK,
-                       {"slack": HW_SLACK})
-
-
-def interlacing_check(W, W_prime, E_measure: float) -> CheckReport:
-    """Kernel interlacing: metric_d of the spectral measures is at most twice
-    the measure of the part set where the kernels differ, up to the rounding
-    slack INTERLACING_SLACK.  d compares the two kernels' QVE solutions on
-    METRIC_D_GRID directly, so no measure is inverted."""
-    from . import qve
-
-    a, b = W, W_prime
-    if a.partition != b.partition:
-        raise PartitionMismatch("kernels must share a partition")
-    # smallest part set E covering the difference support: entry (i,j) may
-    # differ only if i in E or j in E, so greedily cover rows of the defect
-    diff = a.values != b.values
-    cover = np.zeros(a.partition.k, dtype=bool)
-    while diff.any():
-        i = int(np.argmax(diff.sum(axis=1)))
-        cover[i] = True
-        diff[i, :] = False
-        diff[:, i] = False
-    measure_diff = float(a.partition.part_measures[cover].sum())
-    if measure_diff > E_measure + INTERLACING_PRECONDITION_SLACK:
-        raise PreconditionViolated(
-            f"kernels differ on measure {measure_diff} > E_measure {E_measure}"
-        )
-    lhs = metric_d(qve.QveMeasure(a), qve.QveMeasure(b))
-    rhs = 2.0 * E_measure
-    return CheckReport(lhs, rhs + INTERLACING_SLACK,
-                       lhs <= rhs + INTERLACING_SLACK,
-                       {"measure_diff": measure_diff})
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ grid is Newton-solved once.
 
 ``QveMeasure`` is the QVE measure as a ``ProbMeasure1D``: its Stieltjes
 transform at Im z > 0 is the mean m(z) . lambda of one solve, which needs no
-inversion, and its grid is ``qve_measure`` on first use.
+inversion, and its grid is ``qve_measure`` on first use.  The appendix
+inequalities on QVE measures live here too: ``stability_check``,
+``hw_check`` and ``interlacing_check``.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow, NotConverged, PreconditionViolated, SolveFailure
-from .kernels import StepKernel
-from .measures import ProbMeasure1D, _trapezoid_weights
+from .errors import (GridTooNarrow, NotConverged, PartitionMismatch,
+                     PreconditionViolated, SolveFailure)
+from .kernels import StepKernel, l1_norm
+from .measures import ProbMeasure1D, _trapezoid_weights, metric_d, wasserstein
 from .report import CheckReport
 
 # Numerical contracts and search sizes.  They are module constants, not
@@ -62,6 +65,10 @@ STABILITY_KAPPA = 128.0         # constant of the perturbation bound
 MIN_CAPTURED_MASS = 0.99        # grid mass an inversion must capture
 GRID_POINTS = 4000              # points of the default inversion grid
 GRID_ETA = 1e-3                 # Im z of the default inversion grid
+HW_SLACK = 2e-3                 # grid-inversion slack of W2 <= sqrt(L1)
+HW_GRID_POINTS = 1000           # points of hw_check's grid, which HW_SLACK is sized for
+INTERLACING_SLACK = 1e-9        # rounding slack of d <= 2|E|, d from two solves
+INTERLACING_PRECONDITION_SLACK = 1e-12  # rounding slack of |E| >= where kernels differ
 
 
 @dataclass(frozen=True)
@@ -384,11 +391,11 @@ def qve_measure(W: StepKernel, grid: SpectralGrid | None = None) -> ProbMeasure1
 class QveMeasure(ProbMeasure1D):
     """The QVE measure of the kernel W, a ``ProbMeasure1D`` of kind "qve".
 
-    Its Stieltjes transform is the solver's mean mbar(z) = m(z) . lambda, so
-    ``measures._stieltjes_at``, and with it ``metric_d``, solves the QVE at
-    the asked points and inverts nothing.  Its grid (x, density, CDF, and so
-    quantiles and moments) is ``qve_measure(W)`` on W's default grid, built
-    the first time something reads it.  ``kernel`` is W.
+    Its Stieltjes transform ``_stieltjes`` is the solver's mean mbar(z) =
+    m(z) . lambda, so ``metric_d`` solves the QVE at the asked points and
+    inverts nothing.  Its grid (x, density, CDF, and so quantiles and
+    moments) is ``qve_measure(W)`` on W's default grid, built the first time
+    something reads it.  ``kernel`` is W.
     """
 
     kind = "qve"
@@ -398,6 +405,9 @@ class QveMeasure(ProbMeasure1D):
 
     def __repr__(self):
         return f"QveMeasure({self.kernel!r})"
+
+    def _stieltjes(self, zs: np.ndarray) -> np.ndarray:
+        return solve_qve(self.kernel, zs).average()
 
     @functools.cached_property
     def _grid(self) -> ProbMeasure1D:
@@ -457,6 +467,48 @@ def stability_check(W: StepKernel, d, z) -> CheckReport:
     rhs = float(STABILITY_KAPPA * max(snorm, 1.0)
                 * np.sqrt(np.sum(lam * np.abs(d) ** 2)))
     return CheckReport(lhs, rhs, lhs <= rhs, {"z": z, "snorm": snorm})
+
+
+def hw_check(W, W_prime) -> CheckReport:
+    """Hoeffding/Wielandt-style bound: W2 of the spectral measures is at most
+    sqrt of the L1 distance of the kernels, up to the inversion slack
+    HW_SLACK.  Both kernels are inverted on one grid of HW_GRID_POINTS points
+    at Im z = GRID_ETA over +-(b + 1), b the larger of their support bounds."""
+    b = max(support_bound(W), support_bound(W_prime))
+    grid = SpectralGrid(-b - 1.0, b + 1.0, HW_GRID_POINTS, GRID_ETA)
+    lhs = wasserstein(qve_measure(W, grid), qve_measure(W_prime, grid), 2)
+    rhs = float(np.sqrt(l1_norm(W.sub(W_prime))))
+    return CheckReport(lhs, rhs + HW_SLACK, lhs <= rhs + HW_SLACK,
+                       {"slack": HW_SLACK})
+
+
+def interlacing_check(W, W_prime, E_measure: float) -> CheckReport:
+    """Kernel interlacing: metric_d of the spectral measures is at most twice
+    the measure of the part set where the kernels differ, up to the rounding
+    slack INTERLACING_SLACK.  d compares the two kernels' QVE solutions on
+    METRIC_D_GRID directly, so no measure is inverted."""
+    a, b = W, W_prime
+    if a.partition != b.partition:
+        raise PartitionMismatch("kernels must share a partition")
+    # smallest part set E covering the difference support: entry (i,j) may
+    # differ only if i in E or j in E, so greedily cover rows of the defect
+    diff = a.values != b.values
+    cover = np.zeros(a.partition.k, dtype=bool)
+    while diff.any():
+        i = int(np.argmax(diff.sum(axis=1)))
+        cover[i] = True
+        diff[i, :] = False
+        diff[:, i] = False
+    measure_diff = float(a.partition.part_measures[cover].sum())
+    if measure_diff > E_measure + INTERLACING_PRECONDITION_SLACK:
+        raise PreconditionViolated(
+            f"kernels differ on measure {measure_diff} > E_measure {E_measure}"
+        )
+    lhs = metric_d(QveMeasure(a), QveMeasure(b))
+    rhs = 2.0 * E_measure
+    return CheckReport(lhs, rhs + INTERLACING_SLACK,
+                       lhs <= rhs + INTERLACING_SLACK,
+                       {"measure_diff": measure_diff})
 
 
 def solution_to_json(sol: QveSolution) -> str:

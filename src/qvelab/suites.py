@@ -151,7 +151,7 @@ def interlacing_suite(seed=0, trials=200) -> SuiteResult:
         vals[i, :] = new_row
         vals[:, i] = new_row
         Wp = kernels.StepKernel(W.partition, vals)
-        return measures.interlacing_check(W, Wp, 0.25)
+        return qve.interlacing_check(W, Wp, 0.25)
     return _run("interlacing", seed, trials, trial)
 
 
@@ -161,7 +161,7 @@ def hw_suite(seed=0, trials=200) -> SuiteResult:
         k = int(rng.integers(1, 5))
         W = _random_kernel(rng, k)
         Wp = _random_kernel(rng, k)
-        return measures.hw_check(W, Wp)
+        return qve.hw_check(W, Wp)
     return _run("hoeffding_wielandt", seed, trials, trial)
 
 

@@ -1,16 +1,22 @@
 """Tests for the qvelab command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 import qvelab
@@ -412,6 +418,45 @@ class TestExitCodes:
         assert summary.pop("elapsed_s") >= 0.0
         assert summary == {"cmd": "rate", "num": 3}
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--num", "0"], "--num must be >= 1, got 0"),
+        (["--num=-3"], "--num must be >= 1, got -3"),
+        (["--u-min", "5", "--u-max", "0.5"], "--u-min 5.0 exceeds --u-max 0.5"),
+    ])
+    def test_rate_empty_or_descending_table_exits_2(self, argv, message, capsys):
+        # these used to write a header-only and a descending table, exit 0
+        code, out, err = run(["rate", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip()) == {"error": "DomainError", "message": message}
+
+    @pytest.mark.parametrize("cmd", ["sample", "tilt", "spectrum"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_exits_2(self, cmd, seed, const1_kernel, tmp_path,
+                                          capsys):
+        # --seed 2^64 used to write the file of --seed 0, and --seed -1 that of
+        # --seed 2^64 - 1
+        kernel = ["--kernel", const1_kernel] if cmd == "tilt" else []
+        out_path = tmp_path / "out.csv"
+        code, out, err = run([cmd, *kernel, "--n", "6", "--p", "0.5", f"--seed={seed}",
+                              "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip()) == {
+            "error": "ValueError", "message": f"seed {seed} does not lie in [0, 2^64)"}
+        assert not out_path.exists()
+
+    def test_largest_seed_is_its_own_sample(self, tmp_path, capsys):
+        written = []
+        for seed in (0, 2 ** 64 - 1):
+            path = tmp_path / f"{seed}.csv"
+            code, _, err = run(["sample", "--n", "40", "--p", "0.5", "--seed", str(seed),
+                                "--out", str(path)], capsys)
+            assert code == 0
+            assert json.loads(err.strip())["seed"] == seed
+            written.append(path.read_bytes())
+        assert written[0] != written[1]
+
     @pytest.mark.parametrize("cmd, extra", [("cutnorm", ["--mode", "exact"]),
                                             ("cutnorm", ["--seed", "1"]),
                                             ("qve-measure", ["--no-richardson"])])
@@ -750,3 +795,195 @@ class TestDeterminism:
                 "--grid=-3:3:300:0.001", "--out", str(out)]
         assert (self._bytes_of(argv, out, capsys)
                 == self._bytes_of(argv, out, capsys))
+
+
+# -- fuzzing cli.main over a small grammar of argv tokens and input files ------
+#
+# A token "@name" is the path of the file "name" in the example's directory,
+# written from the example's files.  Sizes stay small: n <= 60, --max-order
+# <= 40, grid points <= 2000, --trials <= 2, and a kernel operand of compare
+# only under --metric d, since ks, w1 and w2 read its 4000-point default grid.
+# Each list of choices starts with a valid one, since hypothesis draws the
+# first choice most often.
+
+CONST1 = '{"boundaries": ["1/1"], "values": [[1.0]]}'
+NUMERICAL_FAILURES = {"NotConverged", "SolveFailure", "EigFailure"}
+
+
+@st.composite
+def kernel_texts(draw):
+    k = draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(
+        st.sampled_from([1.0, 0.5, 3.0, 0.0, -1.0, 1e308, math.nan]),
+        min_size=k * k, max_size=k * k))).reshape(k, k)
+    if not draw(st.booleans()):
+        values = np.triu(values) + np.triu(values, 1).T
+    bounds = draw(st.sampled_from([
+        [f"{i}/{k}" for i in range(1, k + 1)],
+        [i / k for i in range(1, k + 1)],
+        [0.2, 0.7, 1.0][-k:],
+        ["1/0"] * k,
+        [1.0] * k,
+    ]))
+    return json.dumps({"boundaries": bounds, "values": values.tolist()})
+
+
+KERNELS = st.one_of(kernel_texts(), st.sampled_from(
+    [CONST1, "{}", "[1, 2]", "not json", '{"boundaries": ["1/3"], "values": 5}']))
+LAWS = st.sampled_from([
+    '{"support": [-1, 1], "probs": [0.5, 0.5]}',
+    '{"support": [-2, 0, 2], "probs": [0.125, 0.75, 0.125]}',
+    '{"support": [0, 1], "probs": [0.5, 0.5]}',
+    '{"support": [-1, 1], "probs": [NaN, 0.5]}',
+    '{"support": [-1, 1]}',
+])
+MEASURES = st.sampled_from([
+    "eigenvalue\n-1.0\n0.0\n0.5\n2.0\n",
+    "x,weight\n0.25,0.5\n0.75,0.5\n",
+    "x,density,cdf\n-1,0,0\n0,1,0.5\n1,0,1\n",
+    "eigenvalue\n",
+    "eigenvalue\nnan\n",
+    "x,weight\n0.25,1.0\n0.5\n",
+    "x,density,cdf\n1,1,1\n0,1,0\n",
+    "foo\n1\n",
+    "",
+])
+SAMPLE_LINES = ["0,1,0.5", "4,5,-2.5", "1,3,1e300", "0,1,0.25", "1,0,1.0", "0,0,1",
+                "2,5,nan", "3,70,1", "1,2,x"]
+Z_REAL, Z_IMAG = ["0", "-3", "0.5", "1e300"], ["+1", "+0.001", "+2", "+1e-7", "+1e100", "-2", "+0"]
+SIZES = ["6", "60", "1", "2", "0", "-1"]
+PROBS = ["0.5", "0.05", "0", "1"]
+SEEDS = ["0", "1", str(2 ** 64 - 1), "-1", str(2 ** 64)]
+
+
+def _flag(draw, name, values):
+    return [f"{name}={draw(st.sampled_from(values))}"]
+
+
+def _law(draw, files):
+    if draw(st.booleans()):
+        return []
+    files["law.json"] = draw(LAWS)
+    return ["--law", "@law.json"]
+
+
+def _kernel(draw, files, flag="--kernel", name="W.json"):
+    files[name] = draw(KERNELS)
+    return [flag, "@" + name]
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files) of one subcommand call."""
+    files = {}
+    cmd = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [cmd]
+    if cmd == "qve-solve":
+        argv += _kernel(draw, files)
+        for _ in range(draw(st.integers(1, 3))):
+            argv += [f"--z={draw(st.sampled_from(Z_REAL))}{draw(st.sampled_from(Z_IMAG))}i"]
+    elif cmd == "qve-measure":
+        argv += _kernel(draw, files)
+        lo, hi = draw(st.sampled_from([("-3", "3"), ("-0.5", "0.5"), ("-1e3", "1e3")]))
+        points = draw(st.sampled_from(["400", "2000", "10", "2"]))
+        eta = draw(st.sampled_from(["0.001", "0.05", "1"]))
+        argv += [f"--grid={lo}:{hi}:{points}:{eta}", "--out", "@rho.csv"]
+    elif cmd == "moments":
+        argv += _kernel(draw, files) + _flag(draw, "--max-order", ["8", "40", "1", "0", "-1"])
+    elif cmd == "rate":
+        argv += _law(draw, files)
+        bounds = ["0.5", "5", "0.01", "0", "-1", "1e308", "-1e308", "inf", "nan"]
+        argv += _flag(draw, "--u-min", bounds) + _flag(draw, "--u-max", bounds)
+        argv += _flag(draw, "--num", ["50", "2000", "1", "2", "0", "-1"])
+    elif cmd == "k-alpha":
+        argv += _law(draw, files)
+        argv += _flag(draw, "--alpha", ["2", "50", "100", "0.5", "nan", "inf"])
+        argv += _flag(draw, "--eps", ["0.5", "0.2", "0.98", "0", "1", "-1", "nan"])
+    elif cmd in ("sample", "tilt", "spectrum"):
+        if cmd == "tilt":
+            argv += _kernel(draw, files)
+        if cmd == "spectrum" and draw(st.booleans()):
+            lines = draw(st.lists(st.sampled_from(SAMPLE_LINES), max_size=4))
+            files["X.csv"] = "".join(f"{line}\n" for line in ["i,j,value", *lines])
+            argv += ["--matrix", "@X.csv"]
+        else:
+            argv += _law(draw, files) + _flag(draw, "--p", PROBS) + _flag(draw, "--seed", SEEDS)
+        argv += _flag(draw, "--n", SIZES) + ["--out", "@out.csv"]
+    elif cmd == "compare":
+        metric = draw(st.sampled_from(["d", "ks", "w1", "w2"]))
+        operands = ["@mu.csv", "semicircle"] + (["@W.json"] if metric == "d" else [])
+        files["mu.csv"] = draw(MEASURES)
+        files["W.json"] = draw(KERNELS)
+        for flag in ("--a", "--b"):
+            argv += [flag, draw(st.sampled_from(operands))]
+        argv += ["--metric", metric]
+    elif cmd == "cutnorm":
+        argv += _kernel(draw, files)
+        if draw(st.booleans()):
+            argv += _kernel(draw, files, "--minus", "V.json")
+    else:
+        argv += ["--suite", draw(st.sampled_from([*suites.GROUPS, *suites.ALL_SUITES]))]
+        argv += _flag(draw, "--seed", ["0", "1", "-1"]) + _flag(draw, "--trials", ["1", "2", "0", "-1"])
+    return argv, files
+
+
+def _main_in(tmp, argv, files):
+    """cli.main(argv) with the files written under tmp and every warning an
+    error: (exit code, stderr)."""
+    for name, text in files.items():
+        Path(tmp, name).write_text(text)
+    argv = [str(Path(tmp, t[1:])) if t.startswith("@") else t for t in argv]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inv=invocations())
+# seeds outside [0, 2^64) and the largest valid seed
+@example(inv=(["sample", "--n", "6", "--p", "0.5", f"--seed={2 ** 64}", "--out", "@x.csv"], {}))
+@example(inv=(["tilt", "--kernel", "@U.json", "--n", "6", "--p", "0.5", "--seed=-1",
+               "--out", "@x.csv"], {"U.json": CONST1}))
+@example(inv=(["spectrum", "--n", "6", f"--seed={2 ** 64 - 1}", "--out", "@x.csv"], {}))
+# an empty and a descending rate table
+@example(inv=(["rate", "--num", "0"], {}))
+@example(inv=(["rate", "--u-min", "5", "--u-max", "0.5"], {}))
+# bad --z values and a negative real part without the = form
+@example(inv=(["qve-solve", "--kernel", "@W.json", "--z=foo"], {"W.json": CONST1}))
+@example(inv=(["qve-solve", "--kernel", "@W.json", "--z=nan+1i"], {"W.json": CONST1}))
+@example(inv=(["qve-solve", "--kernel", "@W.json", "--z", "-3+10i"], {"W.json": CONST1}))
+# a boundary that is no fraction, a grid read backwards, a moment overflow
+@example(inv=(["moments", "--kernel", "@W.json"],
+              {"W.json": '{"boundaries": ["1/0"], "values": [[1.0]]}'}))
+@example(inv=(["compare", "--a", "@rho.csv", "--b", "semicircle"],
+              {"rho.csv": "x,density,cdf\n1,1,1\n0,1,0\n"}))
+@example(inv=(["moments", "--kernel", "@W.json", "--max-order", "3000"], {"W.json": CONST1}))
+# the row-sum start at the edge of the float range
+@example(inv=(["qve-solve", "--kernel", "@W.json", "--z=0+1i"],
+              {"W.json": '{"boundaries": ["1/1"], "values": [[1e308]]}'}))
+@example(inv=(["qve-solve", "--kernel", "@W.json", "--z=1e300+1i"], {"W.json": CONST1}))
+# a kernel difference on a common refinement near the top of the float range
+@example(inv=(["cutnorm", "--kernel", "@W.json", "--minus", "@V.json"],
+              {"W.json": CONST1,
+               "V.json": '{"boundaries": ["1/2", "1"], "values": [[1, 1], [1, 1e308]]}'}))
+def test_fuzzed_argv_keeps_the_exit_code_contract(inv):
+    argv, files = inv
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _main_in(tmp, argv, files)
+    if err.startswith("usage: "):
+        # argparse refused argv and printed its usage, as the README allows
+        assert code == 2 and ": error: " in err.splitlines()[-1]
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    line = json.loads(lines[0])
+    if code == 0:
+        assert "error" not in line
+    elif code == 1:
+        assert (line.get("error") in NUMERICAL_FAILURES
+                or line.get("cmd") == "verify" and line["passed"] is False), line
+    else:
+        assert code == 2 and "error" in line and line["error"] not in NUMERICAL_FAILURES

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qvelab import ensembles, measures, rates
+from qvelab import ensembles, rates
 from qvelab.errors import (
     AsymmetricInput,
     DivisibilityError,
@@ -44,7 +44,7 @@ def _ref_mix64(x):
 
 def _ref_entry_uniform(seed, i, j, stream):
     with np.errstate(over="ignore"):
-        s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        s = np.uint64(seed)
         h = _ref_mix64(s + _INC)
         h = _ref_mix64(h ^ (np.asarray(i, dtype=np.uint64) * _M1 + _INC))
         h = _ref_mix64(h ^ (np.asarray(j, dtype=np.uint64) * _M2 + _INC))
@@ -87,7 +87,7 @@ class TestSampleSparseWigner:
         s = ensembles.sample_sparse_wigner(50, 0.2, RADEMACHER, 1)
         assert np.array_equal(s.entries, s.entries.T)
         assert np.array_equal(np.diag(s.entries), np.zeros(50))
-        assert np.array_equal(np.diag(s.mask), np.zeros(50))
+        assert np.all(s.rows < s.cols)
 
     def test_edge_count_concentration(self):
         # [DERIVED] binomial concentration, 4 sigma
@@ -109,8 +109,10 @@ class TestSampleSparseWigner:
         # invariant: X == (A o Xi) / sqrt(np) exactly
         n, p = 30, 0.4
         s = ensembles.sample_sparse_wigner(n, p, RADEMACHER, 3)
-        assert np.array_equal(s.entries, s.raw * s.mask / math.sqrt(n * p))
-        assert np.all(np.abs(s.raw[s.mask == 1]) <= RADEMACHER.bound + 1e-15)
+        raw = _ref_dense(n, s.rows, s.cols, s.values)
+        mask = _ref_dense(n, s.rows, s.cols, np.ones(s.rows.size))
+        assert np.array_equal(s.entries, raw * mask / math.sqrt(n * p))
+        assert np.all(np.abs(raw[mask == 1]) <= RADEMACHER.bound + 1e-15)
 
     def test_seed_determinism(self):
         a = ensembles.sample_sparse_wigner(60, 0.1, RADEMACHER, 7)
@@ -124,6 +126,13 @@ class TestSampleSparseWigner:
             ensembles.sample_sparse_wigner(0, 0.5, RADEMACHER, 0)
         with pytest.raises(ValueError):
             ensembles.sample_sparse_wigner(10, 1.0, RADEMACHER, 0)
+        # a seed outside [0, 2^64) is refused, not reduced mod 2^64
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=f"seed {seed} does not lie"):
+                ensembles.sample_sparse_wigner(10, 0.5, RADEMACHER, seed)
+            with pytest.raises(ValueError, match=f"seed {seed} does not lie"):
+                ensembles.tilted_sample(10, 0.5, RADEMACHER,
+                                        StepKernel.constant(1.0), seed)
 
 
 @st.composite
@@ -179,8 +188,8 @@ class TestSamplerProperties:
             i = data.draw(st.integers(0, n - 2))
             j = data.draw(st.integers(i + 1, n - 1))
             p_edge, cum = table(i // size, j // size)
-            if float(ensembles.entry_uniform(seed, i, j, 0)) < p_edge:
-                u = float(ensembles.entry_uniform(seed, i, j, 1))
+            if float(_ref_entry_uniform(seed, i, j, 0)) < p_edge:
+                u = float(_ref_entry_uniform(seed, i, j, 1))
                 value = ZERO_ATOM.support[np.searchsorted(cum, u, "right")]
                 assert edges[(i, j)] == value
             else:
@@ -199,7 +208,8 @@ class TestSamplerProperties:
         assert back.tobytes() == s.entries.tobytes()
         # the CSV omits zero-valued edges; edge_count keeps them
         assert s.edge_count == written + int(np.count_nonzero(s.values == 0))
-        assert s.edge_count == int(np.triu(s.mask, 1).sum())
+        mask = _ref_dense(s.n, s.rows, s.cols, np.ones(s.rows.size))
+        assert s.edge_count == int(np.triu(mask, 1).sum())
 
 
 BIT_IDENTITY_CASES = [(n, k) for n in (1, 2, 3, 129, 1000)
@@ -236,16 +246,6 @@ class TestRowBlockBitIdentity:
                 assert np.array_equal(s.cols, cols)
                 assert s.values.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("seed", [0, 123, 2 ** 64 - 1])
-    def test_entry_uniform_matches_reference(self, seed):
-        i = np.arange(0, 2000, dtype=np.uint64)
-        j = np.arange(1, 2001, dtype=np.uint64)[::-1]
-        for stream in (0, 1):
-            assert np.array_equal(ensembles.entry_uniform(seed, i, j, stream),
-                                  _ref_entry_uniform(seed, i, j, stream))
-            assert (float(ensembles.entry_uniform(seed, 3, 5, stream))
-                    == float(_ref_entry_uniform(seed, 3, 5, stream)))
-
     @pytest.mark.parametrize("tilted", [False, True])
     def test_dense_matches_reference(self, tilted):
         n, p = 60, 0.3
@@ -256,8 +256,6 @@ class TestRowBlockBitIdentity:
             s = ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, 11)
         scale = np.sqrt(n * p)
         assert s.entries.tobytes() == _ref_dense(n, s.rows, s.cols, s.values / scale).tobytes()
-        assert s.raw.tobytes() == _ref_dense(n, s.rows, s.cols, s.values).tobytes()
-        assert s.mask.tobytes() == _ref_dense(n, s.rows, s.cols, np.ones(s.rows.size)).tobytes()
 
     def test_dense_maps_negative_zero_like_the_sum(self):
         rows, cols = np.array([0, 0, 1]), np.array([1, 2, 2])
@@ -381,7 +379,8 @@ class TestTiltedSample:
             tilted = ensembles.tilted_sample(48, 0.2, RADEMACHER,
                                              StepKernel.constant(1.0, 2), seed)
             assert np.array_equal(plain.entries, tilted.entries)
-            assert np.array_equal(plain.mask, tilted.mask)
+            assert np.array_equal(plain.rows, tilted.rows)
+            assert np.array_equal(plain.cols, tilted.cols)
 
     def test_rademacher_tilted_edge_probability(self):
         # [DERIVED] theta = ln u, Z = 1 + p(u - 1), edge prob pu/(1+p(u-1))
@@ -403,10 +402,11 @@ class TestTiltedSample:
         n, p = 400, 0.1
         U = StepKernel(Partition.equal(2), [[4.0, 1.0], [1.0, 4.0]])
         s = ensembles.tilted_sample(n, p, RADEMACHER, U, 0)
+        mask = _ref_dense(n, s.rows, s.cols, np.ones(s.rows.size))
         half = n // 2
-        diag_edges = (np.triu(s.mask[:half, :half], 1).sum()
-                      + np.triu(s.mask[half:, half:], 1).sum())
-        off_edges = s.mask[:half, half:].sum()
+        diag_edges = (np.triu(mask[:half, :half], 1).sum()
+                      + np.triu(mask[half:, half:], 1).sum())
+        off_edges = mask[:half, half:].sum()
         n_diag = 2 * half * (half - 1) / 2
         n_off = half * half
         p4 = p * 4.0 / (1.0 + p * 3.0)
@@ -450,7 +450,7 @@ class TestResolvent:
         M = (M + M.T) / math.sqrt(40)
         z = 0.7 + 1.5j
         G = ensembles.resolvent(M, z)
-        m_esm = measures._stieltjes_at(ensembles.esm(M), np.array([z]))[0]
+        m_esm = ensembles.esm(M)._stieltjes(np.array([z]))[0]
         assert abs(np.trace(G) / 20 - m_esm) <= 1e-10
 
     def test_norm_bound(self):
@@ -509,8 +509,8 @@ class TestEntryUniform:
     def test_deterministic_and_uniform(self):
         i = np.arange(0, 2000, dtype=np.uint64)
         j = np.arange(1, 2001, dtype=np.uint64)
-        u1 = ensembles.entry_uniform(123, i, j, 0)
-        u2 = ensembles.entry_uniform(123, i, j, 0)
+        u1 = _ref_entry_uniform(123, i, j, 0)
+        u2 = _ref_entry_uniform(123, i, j, 0)
         assert np.array_equal(u1, u2)
         assert 0.0 <= u1.min() and u1.max() < 1.0
         assert abs(u1.mean() - 0.5) < 0.05
@@ -518,8 +518,8 @@ class TestEntryUniform:
     def test_streams_independent(self):
         i = np.arange(0, 1000, dtype=np.uint64)
         j = np.zeros(1000, dtype=np.uint64)
-        a = ensembles.entry_uniform(0, i, j, 0)
-        b = ensembles.entry_uniform(0, i, j, 1)
+        a = _ref_entry_uniform(0, i, j, 0)
+        b = _ref_entry_uniform(0, i, j, 1)
         assert not np.array_equal(a, b)
 
 

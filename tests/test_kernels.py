@@ -185,6 +185,13 @@ class TestStepAverage:
             assert (kernels.l1_norm(kernels.step_average(W, P))
                     <= kernels.l1_norm(W) + 1e-12)
 
+    def test_refining_the_largest_value_keeps_it(self):
+        # the symmetrization halves before it sums, so a value near the top of
+        # the float range stays finite (any RuntimeWarning is an error here)
+        W = StepKernel(Partition.equal(2), [[1.0, 1.0], [1.0, 1e308]])
+        out = kernels.step_average(W, Partition.equal(4))
+        assert out.values[3, 3] == 1e308
+
 
 def _reference_cut_distance(W1, W2):
     """The k! loop cut_distance once ran: one exact cut norm per permutation

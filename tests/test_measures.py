@@ -20,7 +20,7 @@ def atom(x):
 
 
 def stieltjes(mu, z):
-    return measures._stieltjes_at(mu, np.array([z]))[0]
+    return mu._stieltjes(np.array([z]))[0]
 
 
 def random_atoms(rng, n=6):
@@ -246,12 +246,12 @@ class TestHwCheck:
     def test_identical(self):
         # [TRIVIAL]
         W = StepKernel.constant(1.0)
-        rep = measures.hw_check(W, W)
+        rep = qve.hw_check(W, W)
         assert rep.holds and rep.lhs <= 2e-3
 
     def test_scaled_semicircles(self):
         # [DERIVED] W2(semicircle, 2x semicircle) = 1 <= sqrt(3)
-        rep = measures.hw_check(StepKernel.constant(1.0),
+        rep = qve.hw_check(StepKernel.constant(1.0),
                                 StepKernel.constant(4.0))
         assert rep.holds
         assert abs(rep.lhs - 1.0) <= 5e-3
@@ -268,7 +268,7 @@ class TestHwCheck:
         b = max(qve.support_bound(W), qve.support_bound(Wp))
         g = qve.SpectralGrid(-b - 1.0, b + 1.0, 1000, 1e-3)
         lhs = measures.wasserstein(qve.qve_measure(W, g), qve.qve_measure(Wp, g), 2)
-        assert measures.hw_check(W, Wp).lhs == lhs
+        assert qve.hw_check(W, Wp).lhs == lhs
 
     def test_random_pairs(self):
         # [DERIVED] Monte Carlo suite (full 200-trial run in acceptance)
@@ -279,14 +279,14 @@ class TestHwCheck:
             W = StepKernel(Partition.equal(k), 0.5 * (vals + vals.T))
             vals = rng.uniform(0, 4, (k, k))
             Wp = StepKernel(Partition.equal(k), 0.5 * (vals + vals.T))
-            assert measures.hw_check(W, Wp).holds
+            assert qve.hw_check(W, Wp).holds
 
 
 class TestInterlacingCheck:
     def test_empty_difference(self):
         # [TRIVIAL] identical kernels: d = 0
         W = StepKernel.constant(1.0, 4)
-        rep = measures.interlacing_check(W, W, 0.0)
+        rep = qve.interlacing_check(W, W, 0.0)
         assert rep.holds and rep.lhs <= 1e-3
 
     def test_single_modified_part(self):
@@ -300,7 +300,7 @@ class TestInterlacingCheck:
         vals2[0, :] = row
         vals2[:, 0] = row
         Wp = StepKernel(Partition.equal(4), vals2)
-        rep = measures.interlacing_check(W, Wp, 0.25)
+        rep = qve.interlacing_check(W, Wp, 0.25)
         assert rep.holds
         assert abs(rep.info["measure_diff"] - 0.25) <= 1e-12
 
@@ -311,18 +311,18 @@ class TestInterlacingCheck:
         W = StepKernel(Partition.equal(2), 0.5 * (vals + vals.T))
         vals = rng.uniform(0, 4, (2, 2))
         Wp = StepKernel(Partition.equal(2), 0.5 * (vals + vals.T))
-        rep = measures.interlacing_check(W, Wp, 1.0)
+        rep = qve.interlacing_check(W, Wp, 1.0)
         assert rep.holds
 
     def test_precondition_violated(self):
         W = StepKernel.constant(1.0, 4)
         Wp = StepKernel.constant(2.0, 4)   # all parts differ
         with pytest.raises(PreconditionViolated):
-            measures.interlacing_check(W, Wp, 0.25)
+            qve.interlacing_check(W, Wp, 0.25)
 
     def test_partition_mismatch(self):
         with pytest.raises(PartitionMismatch):
-            measures.interlacing_check(StepKernel.constant(1.0, 2),
+            qve.interlacing_check(StepKernel.constant(1.0, 2),
                                        StepKernel.constant(1.0, 3), 1.0)
 
 
@@ -380,7 +380,7 @@ class TestQveMeasureKind:
         W = StepKernel.constant(1.0, 4)
         vals = np.ones((4, 4))
         vals[0, :] = vals[:, 0] = 2.0
-        assert measures.interlacing_check(W, StepKernel(W.partition, vals), 0.25).holds
+        assert qve.interlacing_check(W, StepKernel(W.partition, vals), 0.25).holds
         assert inversions == []
 
     @settings(max_examples=20, deadline=None)
