@@ -1,7 +1,9 @@
 """Sparse Wigner samples, exponential tilting, spectra and resolvent identities.
 
-A sample is stored as upper-triangle edge triplets; its dense matrix is built
-on first use.  Per-entry randomness comes from a counter-based hash of
+A sample is kept as the draw of its upper-triangle edges, a stream of row
+blocks that the CSV writer and the dense matrix consume as they arrive.  No
+step holds a whole-sample array unless a caller reads ``rows``, ``cols`` or
+``values``.  Per-entry randomness comes from a counter-based hash of
 (seed, i, j, stream), so sampling is order-independent, reproducible, and
 parallelizable; identical seeds give bit-identical samples.
 
@@ -11,15 +13,19 @@ upper triangle in row blocks of at most ROW_BLOCK entries: it hashes the seed
 and row stages once per row and the column key once per column, and mixes
 each block in place in work arrays reused from block to block.  The
 (seed, i, j) stage is shared by both streams: stream 0 decides every entry's
-edge, stream 1 only the edges' values.  No step makes an array of the whole
-triangle, and the output does not depend on the block size.
+edge, stream 1 only the edges' values.  A block's edges leave the sampler as
+(rows, cols, atom), the value being the atom-th value of the entry law, so
+the writer formats each atom once.  The output does not depend on the block
+size.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +47,10 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _INC = np.uint64(0x9E3779B97F4A7C15)
 _STREAM_KEYS = (_INC, np.uint64(1) + _INC)   # edge stream 0, value stream 1
 
-# upper-triangle entries the sampler hashes per row block; also the sample CSV
-# lines built per write.  The output does not depend on it; it keeps a block's
-# work arrays inside the L2 cache
+# upper-triangle entries the sampler hashes per row block, so also the most
+# sample CSV lines written at once; and the lines the CSV reader parses at
+# once.  The output does not depend on it; it keeps a block's work arrays
+# inside the L2 cache
 ROW_BLOCK = 1 << 15
 
 # side of the square tiles over which esm compares M with its transpose
@@ -83,31 +90,73 @@ def _uniform(h: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SparseWignerSample:
-    """Realized X = (A o Xi) / sqrt(np), kept as the edges rows < cols of Xi."""
+    """Realized X = (A o Xi) / sqrt(np), kept as the draw of the edges rows <
+    cols of Xi: ``draw()`` yields them row block by row block as (rows, cols,
+    atom), A being atoms[atom] on each edge.  The samplers return it before
+    anything is hashed; ``rows``, ``cols``, ``values`` and the dense
+    ``entries`` are made from that stream when first read."""
 
     n: int
     p: float
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray    # A on each edge, a zero atom of the law included
     seed: int
+    atoms: np.ndarray     # the values A can take, a zero atom included
+    draw: Callable[[], Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]
+    _edge_count: int | None = field(default=None, init=False, repr=False)
+
+    def _walk(self):
+        """The blocks of ``draw()``; a walk to the end records edge_count."""
+        count = 0
+        for block in self.draw():
+            count += block[0].size
+            yield block
+        self._edge_count = count
 
     @functools.cached_property
     def entries(self) -> np.ndarray:  # X, symmetric, zero diagonal
-        scale = np.sqrt(self.n * self.p)
-        return _dense(self.n, self.rows, self.cols, self.values / scale)
+        scaled = self.atoms / np.sqrt(self.n * self.p)
+        out = np.zeros((self.n, self.n), order="F")
+        for rows, cols, atom in self._walk():
+            _fill(out, rows, cols, scaled[atom])
+        return out
+
+    @functools.cached_property
+    def _edges(self):
+        empty = np.zeros(0, dtype=np.intp)
+        return [np.concatenate(x) for x in zip((empty, empty, empty), *self._walk())]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._edges[1]
+
+    @property
+    def values(self) -> np.ndarray:   # A on each edge, a zero atom included
+        return self.atoms[self._edges[2]]
 
     @property
     def edge_count(self) -> int:
-        return int(self.rows.size)
+        """Edges drawn, zero-valued ones included; known without another
+        walk once a consumer has walked the sample to its end."""
+        if self._edge_count is None:
+            for _ in self._walk():
+                pass
+        return self._edge_count
 
 
-def _dense(n: int, rows, cols, vals) -> np.ndarray:
-    out = np.zeros((n, n))
-    vals = np.asarray(vals, dtype=float) + 0.0   # -0.0 -> 0.0, as out + out.T gives
-    out[rows, cols] = vals
-    out[cols, rows] = vals
-    return out
+def _fill(out: np.ndarray, rows, cols, vals):
+    """out[rows, cols] = out[cols, rows] = vals in the contiguous square out,
+    -0.0 as 0.0 (as out + out.T gives it).
+
+    The sampler and the CSV reader fill X in Fortran order.  X is symmetric,
+    so that is the same matrix, and the copy eigvalsh hands to LAPACK is then
+    a straight copy instead of a transpose."""
+    vals = np.asarray(vals, dtype=float) + 0.0
+    flat, n = out.ravel(order="K"), out.shape[0]
+    flat[rows * n + cols] = vals
+    flat[cols * n + rows] = vals
 
 
 def _row_blocks(n: int):
@@ -121,13 +170,14 @@ def _row_blocks(n: int):
         r0 = r1
 
 
-def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
-          p_edge: np.ndarray, probs: np.ndarray) -> SparseWignerSample:
+def _draw(n: int, seed: int, block: np.ndarray, p_edge: np.ndarray, probs: np.ndarray):
     """Upper-triangle draw: (i, j) in blocks a = block[i], b = block[j] is an
-    edge with probability p_edge[a, b], and its value has law probs[a, b]."""
+    edge with probability p_edge[a, b], and its value is atom t with
+    probability probs[a, b, t].  Yields (rows, cols, atom) per row block."""
     cum = np.cumsum(probs, axis=-1)
     cum[..., -1] = 1.0
     k = p_edge.shape[0]
+    levels = cum.reshape(k * k, -1).T
     # u < p_edge for u = (h >> 11) 2^-53 exactly when (h >> 11) < p_edge 2^53
     edge = p_edge[:, block] * 2.0 ** 53
     index = np.arange(n, dtype=np.uint64)
@@ -135,7 +185,6 @@ def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
     blocks = list(_row_blocks(n))
     size = max([(r1 - r0) * (n - 1 - r0) for r0, r1 in blocks], default=0)
     work = [np.empty(size, dtype=t) for t in (np.uint64, np.uint64, np.uint64, float, bool)]
-    rows, cols, stage = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [work[0][:0]]
     for r0, r1 in blocks:
         shape = (r1 - r0, n - 1 - r0)
         h, u, tmp, level, is_edge = (w[:shape[0] * shape[1]].reshape(shape) for w in work)
@@ -146,22 +195,21 @@ def _draw(n: int, p: float, seed: int, support: np.ndarray, block: np.ndarray,
         u >>= np.uint64(11)
         np.take(edge[:, r0 + 1:], block[r0:r1], axis=0, out=level, mode="clip")
         np.less(u, level, out=is_edge)
-        for r in range(1, shape[0]):         # (i, j) with j <= i is no entry
-            is_edge[r, :r] = False
+        # (i, j) with j <= i is no entry
+        is_edge[:, :shape[0]] &= ~np.tri(shape[0], k=-1, dtype=bool)
         at = np.flatnonzero(is_edge)
-        a, c = np.divmod(at, shape[1])
-        rows.append(a + r0)
-        cols.append(c + (r0 + 1))
-        stage.append(h.ravel().take(at))
-    rows, cols, h = (np.concatenate(x) for x in (rows, cols, stage))
-    h ^= _STREAM_KEYS[1]
-    u_val = _uniform(_mix64(h, np.empty_like(h)))
-    # count of cum entries <= u, i.e. searchsorted(cum, u, side="right")
-    pair = block[rows] * k + block[cols]
-    idx = np.zeros(rows.size, dtype=np.intp)
-    for level in cum.reshape(k * k, -1).T:
-        idx += u_val >= level.take(pair)
-    return SparseWignerSample(n, p, rows, cols, support[idx], seed)
+        rows, cols = np.divmod(at, shape[1])
+        rows += r0
+        cols += r0 + 1
+        h = h.ravel().take(at)
+        h ^= _STREAM_KEYS[1]
+        u_val = _uniform(_mix64(h, tmp.ravel()[:h.size]))
+        # count of cum entries <= u, i.e. searchsorted(cum, u, side="right")
+        pair = 0 if k == 1 else block[rows] * k + block[cols]
+        atom = np.zeros(rows.size, dtype=np.intp)
+        for cut in levels:
+            atom += u_val >= cut.take(pair)
+        yield rows, cols, atom
 
 
 def _check_inputs(n: int, p: float, seed: int):
@@ -180,8 +228,8 @@ def sample_sparse_wigner(n: int, p: float, law: EntryLaw,
     """Sparse Wigner matrix: Bernoulli(p) mask above the diagonal, i.i.d. law
     entries, normalized by sqrt(np)."""
     _check_inputs(n, p, seed)
-    return _draw(n, p, seed, law.support, np.zeros(n, dtype=int),
-                 np.array([[p]]), law.probs[None, None])
+    return SparseWignerSample(n, p, seed, law.support, functools.partial(
+        _draw, n, seed, np.zeros(n, dtype=int), np.array([[p]]), law.probs[None, None]))
 
 
 def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
@@ -210,7 +258,8 @@ def tilted_sample(n: int, p: float, law: EntryLaw, U: StepKernel,
     p_edge = p * (L + 1.0) / (1.0 + p * L)
     cond = law.probs * np.exp(theta[..., None] * law.support ** 2)
     probs = cond / cond.sum(axis=-1, keepdims=True)
-    return _draw(n, p, seed, law.support, np.arange(n) // (n // k), p_edge, probs)
+    return SparseWignerSample(n, p, seed, law.support, functools.partial(
+        _draw, n, seed, np.arange(n) // (n // k), p_edge, probs))
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -222,13 +271,15 @@ def _as_matrix(m) -> np.ndarray:
 def _is_symmetric(M: np.ndarray) -> bool:
     """np.allclose(M, M.T, atol=1e-12, rtol=0) for a square M, NaN and +-inf
     included, decided over SYMMETRY_TILE-square tile pairs of the upper
-    triangle so that no transposed copy of M is made."""
+    triangle so that no transposed copy of M is made.  A tile pair that is
+    equal entry by entry takes one comparison."""
     n, t = M.shape[0], SYMMETRY_TILE
     with np.errstate(invalid="ignore"):      # inf - inf is nan: not close
         for a in range(0, n, t):
             for b in range(a, n, t):
                 x, y = M[a:a + t, b:b + t], M[b:b + t, a:a + t].T
-                if not np.all((np.abs(x - y) <= 1e-12) | (x == y)):
+                same = x == y
+                if not same.all() and not np.all((np.abs(x - y) <= 1e-12) | same):
                     return False
     return True
 
@@ -285,50 +336,79 @@ def ward_residual(M, z, j: int) -> float:
 
 
 def save_sample_csv(sample: SparseWignerSample, path):
-    """Sparse triplet export (i, j, value) of the nonzero upper triangle of X."""
-    vals = sample.values / np.sqrt(sample.n * sample.p)
-    nz = np.flatnonzero(vals != 0)
-    # one repr per distinct value and one "i," per index, joined per block
-    distinct, which = np.unique(vals[nz], return_inverse=True)
-    value_text = np.array([f"{v!r}\n" for v in distinct.tolist()], dtype=object)
+    """Sparse triplet export (i, j, value) of the nonzero upper triangle of X,
+    one line per edge in draw order, written block by block as the sampler
+    yields them.  Each atom's value and each index is formatted once."""
+    scaled = sample.atoms / np.sqrt(sample.n * sample.p)
+    written = scaled != 0
+    value_text = np.array([f"{v!r}\n" for v in scaled.tolist()], dtype=object)
     index_text = np.array([f"{i}," for i in range(sample.n)], dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write("i,j,value\n")
-        for start in range(0, nz.size, ROW_BLOCK):
-            at = nz[start:start + ROW_BLOCK]
-            lines = (index_text[sample.rows[at]] + index_text[sample.cols[at]]
-                     + value_text[which[start:start + ROW_BLOCK]])
+        for rows, cols, atom in sample._walk():
+            if not written.all():           # an edge of value 0 is no line
+                keep = np.flatnonzero(written[atom])
+                rows, cols, atom = rows[keep], cols[keep], atom[keep]
+            lines = index_text[rows] + index_text[cols] + value_text[atom]
             fh.write("".join(lines.tolist()))
 
 
 def load_sample_csv(path, n: int) -> np.ndarray:
     """Dense X from a triplet CSV; ValueError unless n >= 1 and each line is
     i,j,value with integers 0 <= i < j < n, a finite value and a pair (i, j)
-    no other line repeats."""
+    no other line repeats.
+
+    The file is parsed ROW_BLOCK lines at a time straight into X.  A file
+    with several faults is refused for the first of: a line np.loadtxt
+    cannot parse, an index out of order or range, the first non-finite
+    value, the smallest repeated pair.  The pairs are sorted to find a
+    repeat only if the file does not list them in increasing order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with warnings.catch_warnings():  # a header-only file is an empty sample
+    out = np.zeros((n, n), order="F")
+    keys, bad_index, bad_value, done, increasing = [], False, None, 0, True
+    with open(path) as fh, warnings.catch_warnings():
+        # a header-only file is an empty sample; blank lines are no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        i, j, v = np.loadtxt(path, dtype="i8,i8,f8", delimiter=",", skiprows=1,
-                             ndmin=1, unpack=True)
-    if np.any((i < 0) | (i >= j) | (j >= n)):
+        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+        fh.readline()
+        while True:
+            try:
+                i, j, v = np.loadtxt(fh, dtype="i8,i8,f8", delimiter=",", ndmin=1,
+                                     max_rows=ROW_BLOCK, unpack=True)
+            except ValueError as exc:   # loadtxt counts rows from the chunk's start
+                raise ValueError(re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + done}",
+                                        str(exc), count=1)) from None
+            done += i.size
+            bad_index = bad_index or bool(np.any((i < 0) | (i >= j) | (j >= n)))
+            if not bad_index and bad_value is None:
+                bad = np.flatnonzero(~np.isfinite(v))
+                if bad.size:
+                    b = bad[0]
+                    bad_value = (f"{path}: sample CSV value {float(v[b])!r} at "
+                                 f"({i[b]}, {j[b]}) is not finite")
+            if not bad_index and bad_value is None and i.size:
+                key = i * n + j
+                increasing = increasing and bool(np.all(key[1:] > key[:-1])) and (
+                    not keys or keys[-1][-1] < key[0])
+                keys.append(key)
+                _fill(out, i, j, v)
+            if i.size < ROW_BLOCK:
+                break
+    if bad_index:
         raise ValueError(f"{path}: sample CSV indices must satisfy 0 <= i < j < {n}")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        b = bad[0]
-        raise ValueError(f"{path}: sample CSV value {float(v[b])!r} at "
-                         f"({i[b]}, {j[b]}) is not finite")
-    key = np.sort(i * n + j)
-    repeat = np.flatnonzero(key[1:] == key[:-1])
-    if repeat.size:
-        a, b = divmod(int(key[repeat[0]]), n)
-        raise ValueError(f"{path}: sample CSV repeats the entry ({a}, {b})")
-    return _dense(n, i, j, v)
+    if bad_value is not None:
+        raise ValueError(bad_value)
+    if not increasing:
+        key = np.sort(np.concatenate(keys))
+        repeat = np.flatnonzero(key[1:] == key[:-1])
+        if repeat.size:
+            a, b = divmod(int(key[repeat[0]]), n)
+            raise ValueError(f"{path}: sample CSV repeats the entry ({a}, {b})")
+    return out
 
 
 def save_eigenvalues_csv(mu: ProbMeasure1D, path):
     """The atoms of an empirical spectral measure, one per line."""
     with open(path, "w", newline="") as fh:
-        fh.write("eigenvalue\n")
-        for v in mu.x:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("eigenvalue\n" + "".join(f"{v!r}\n" for v in mu.x.tolist()))

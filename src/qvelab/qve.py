@@ -283,15 +283,20 @@ def solve_qve(W: StepKernel, z_points, m0=None, shift=None) -> QveSolution:
     k = W.k
     d = np.broadcast_to(np.zeros(k) if shift is None else np.asarray(shift, complex),
                         (z.size, k))
-    if m0 is None:
-        m, res, continued = _continuation(z, d, S)
-    else:
-        m = np.array(m0, dtype=complex).reshape(z.size, k)
-        if np.any(m.imag <= 0):
-            raise ValueError("warm start must have Im m > 0")
-        m, res = _newton(m, z[:, None] + d, S, RESIDUAL_TOL)
-        walk = ~(res <= RESIDUAL_TOL)
-        m[walk], res[walk], continued = _continuation(z[walk], d[walk], S)
+    # near the top of the float range S m overflows; a residual that is not
+    # finite is a miss, so numpy's warnings are silenced once per call
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if m0 is None:
+            m, res, continued = _continuation(z, d, S)
+        else:
+            m = np.array(m0, dtype=complex).reshape(z.size, k)
+            if np.any(m.imag <= 0):
+                raise ValueError("warm start must have Im m > 0")
+            m, res = _newton(m, z[:, None] + d, S, RESIDUAL_TOL)
+            walk = np.flatnonzero(~(res <= RESIDUAL_TOL))
+            continued = 0
+            if walk.size:
+                m[walk], res[walk], continued = _continuation(z[walk], d[walk], S)
 
     bad = ~(res <= RESIDUAL_TOL) | np.any(m.imag <= 0, axis=1)
     if bad.any():

@@ -220,6 +220,21 @@ class TestExitCodes:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [["qve-measure", "--grid=-3:3:400:0.001"],
+                                      ["qve-solve", "--z=0+0.001i"]])
+    def test_qve_overflow_stderr_is_one_json_line(self, tmp_path, argv):
+        # S m overflows for a kernel near the top of the float range; numpy's
+        # warnings must not reach stderr ahead of the NotConverged line
+        path = tmp_path / "K.json"
+        path.write_text(HUGE_KERNEL)
+        out = ["--out", str(tmp_path / "rho.csv")] if argv[0] == "qve-measure" else []
+        proc = run_python(["-m", "qvelab.cli", *argv, "--kernel", str(path), *out])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "NotConverged"
+
     def _spectrum_of_csv(self, path, n, capsys):
         code, out, err = run(["spectrum", "--matrix", str(path), "--n", str(n),
                               "--out", str(path.with_suffix(".eig"))], capsys)
@@ -807,6 +822,8 @@ class TestDeterminism:
 # first choice most often.
 
 CONST1 = '{"boundaries": ["1/1"], "values": [[1.0]]}'
+HUGE_KERNEL = ('{"boundaries": ["1/3", "2/3", "1"], '
+               '"values": [[1, 1e308, 1], [1e308, 1, 1], [1, 1, 1]]}')
 NUMERICAL_FAILURES = {"NotConverged", "SolveFailure", "EigFailure"}
 
 
@@ -969,6 +986,10 @@ def _main_in(tmp, argv, files):
 @example(inv=(["cutnorm", "--kernel", "@W.json", "--minus", "@V.json"],
               {"W.json": CONST1,
                "V.json": '{"boundaries": ["1/2", "1"], "values": [[1, 1], [1, 1e308]]}'}))
+# S m overflows in the QVE solver: no numpy warning ahead of NotConverged
+@example(inv=(["qve-measure", "--kernel", "@K.json", "--grid=-3:3:400:0.001", "--out", "@rho.csv"],
+              {"K.json": HUGE_KERNEL}))
+@example(inv=(["qve-solve", "--kernel", "@K.json", "--z=0+0.001i"], {"K.json": HUGE_KERNEL}))
 def test_fuzzed_argv_keeps_the_exit_code_contract(inv):
     argv, files = inv
     with tempfile.TemporaryDirectory() as tmp:

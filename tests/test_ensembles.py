@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ def _ref_entry_uniform(seed, i, j, stream):
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _ref_draw(n, p, seed, support, block, p_edge, probs):
+def _ref_draw(n, seed, block, p_edge, probs, support):
     """(rows, cols, values) of the upper triangle drawn entry by entry."""
     cum = np.cumsum(probs, axis=-1)
     cum[..., -1] = 1.0
@@ -71,14 +72,21 @@ def _ref_dense(n, rows, cols, vals):
     return out + out.T
 
 
-def _ref_save_sample_csv(sample, path):
-    vals = sample.values / np.sqrt(sample.n * sample.p)
+def _ref_save_sample_csv(n, p, rows, cols, values, path):
+    vals = values / np.sqrt(n * p)
     nz = vals != 0
     text = "".join(f"{i},{j},{v!r}\n" for i, j, v in zip(
-        sample.rows[nz].tolist(), sample.cols[nz].tolist(), vals[nz].tolist()))
+        rows[nz].tolist(), cols[nz].tolist(), vals[nz].tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("i,j,value\n" + text)
 
+
+def _explicit_sample(n, p, rows, cols, values):
+    """A sample with the given edges as its one block, each value its own atom."""
+    values = np.asarray(values, dtype=float)
+    return ensembles.SparseWignerSample(
+        n, p, 0, values, lambda: iter([(np.asarray(rows), np.asarray(cols),
+                                        np.arange(values.size))]))
 
 
 class TestSampleSparseWigner:
@@ -217,12 +225,35 @@ BIT_IDENTITY_CASES = [(n, k) for n in (1, 2, 3, 129, 1000)
 
 
 class TestRowBlockBitIdentity:
-    """The row-block sampler, the two-triangle dense build and the block CSV
-    writer against the reference implementations above."""
+    """The row-block sampler, the block-filled dense matrix and the streamed
+    CSV writer against the reference implementations above."""
+
+    @staticmethod
+    def _reference(n, p, rows, cols, values, tmp_path, outputs=True):
+        """What a sample must equal: the reference edges and, with outputs,
+        the reference writer's bytes and the reference two-triangle build."""
+        if not outputs:
+            return rows, cols, values, None, None
+        _ref_save_sample_csv(n, p, rows, cols, values, tmp_path / "ref.csv")
+        dense = _ref_dense(n, rows, cols, values / np.sqrt(n * p))
+        return rows, cols, values, (tmp_path / "ref.csv").read_bytes(), dense.tobytes()
+
+    @staticmethod
+    def _assert_matches(s, ref, tmp_path):
+        rows, cols, values, csv, dense = ref
+        if csv is not None:
+            ensembles.save_sample_csv(s, tmp_path / "got.csv")
+            assert (tmp_path / "got.csv").read_bytes() == csv
+            assert s.entries.tobytes() == dense
+        assert s.rows.dtype == rows.dtype and s.cols.dtype == cols.dtype
+        assert np.array_equal(s.rows, rows)
+        assert np.array_equal(s.cols, cols)
+        assert s.values.tobytes() == values.tobytes()
+        assert s.edge_count == rows.size
 
     @pytest.mark.parametrize("n, k", BIT_IDENTITY_CASES)
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
-    def test_draw_matches_whole_triangle_reference(self, monkeypatch, n, k, p):
+    def test_draw_matches_whole_triangle_reference(self, monkeypatch, tmp_path, n, k, p):
         # k None: a plain draw; else a tilt towards a k-block kernel.  The
         # reference draws from the tables the sampler passed to _draw
         tables, real, default = [], ensembles._draw, ensembles.ROW_BLOCK
@@ -236,15 +267,39 @@ class TestRowBlockBitIdentity:
                 vals = rng.uniform(0.2, 5.0, (k, k))
                 U = StepKernel(Partition.equal(k), np.triu(vals) + np.triu(vals, 1).T)
                 draw = lambda: ensembles.tilted_sample(n, p, ZERO_ATOM, U, seed)
-            draw()
-            rows, cols, values = _ref_draw(*tables[-1])
+            draw().edge_count            # the walk hands _draw its tables
+            edges = _ref_draw(*tables[-1], ZERO_ATOM.support)
+            # the reference writer is a Python loop: outputs up to 10^4 edges
+            ref = self._reference(n, p, *edges, tmp_path, outputs=edges[0].size <= 10 ** 4)
             for row_block in (1, 7, n * n, default):
                 monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
-                s = draw()
-                assert s.rows.dtype == rows.dtype and s.cols.dtype == cols.dtype
-                assert np.array_equal(s.rows, rows)
-                assert np.array_equal(s.cols, cols)
-                assert s.values.tobytes() == values.tobytes()
+                self._assert_matches(draw(), ref, tmp_path)
+
+    def test_draw_without_an_edge_writes_the_header_only(self, tmp_path):
+        n, p = 40, 0.001
+        block, p_edge, probs = np.zeros(n, dtype=int), np.array([[p]]), ZERO_ATOM.probs[None, None]
+        seed = next(seed for seed in range(100)
+                    if _ref_draw(n, seed, block, p_edge, probs, ZERO_ATOM.support)[0].size == 0)
+        ref = self._reference(n, p, *_ref_draw(n, seed, block, p_edge, probs, ZERO_ATOM.support),
+                              tmp_path)
+        s = ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, seed)
+        self._assert_matches(s, ref, tmp_path)
+        assert (tmp_path / "got.csv").read_text() == "i,j,value\n"
+        assert not s.entries.any()
+
+    def test_sampler_returns_before_hashing(self, monkeypatch):
+        # a sample is its draw: nothing is hashed until a consumer walks it,
+        # and edge_count after a walk takes no second one
+        walks = []
+        real = ensembles._draw
+        monkeypatch.setattr(ensembles, "_draw",
+                            lambda *args: walks.append(args) or real(*args))
+        s = ensembles.sample_sparse_wigner(30, 0.3, ZERO_ATOM, 4)
+        assert walks == []
+        s.entries
+        assert len(walks) == 1
+        assert s.edge_count == s.rows.size
+        assert len(walks) == 2       # rows walked again; edge_count did not
 
     @pytest.mark.parametrize("tilted", [False, True])
     def test_dense_matches_reference(self, tilted):
@@ -260,30 +315,32 @@ class TestRowBlockBitIdentity:
     def test_dense_maps_negative_zero_like_the_sum(self):
         rows, cols = np.array([0, 0, 1]), np.array([1, 2, 2])
         vals = np.array([-0.0, math.nan, -1.5])
-        got = ensembles._dense(3, rows, cols, vals)
+        got = np.zeros((3, 3))
+        ensembles._fill(got, rows, cols, vals)
         assert got.tobytes() == _ref_dense(3, rows, cols, vals).tobytes()
         assert not np.signbit(got[0, 1]) and not np.signbit(got[1, 0])
 
     @pytest.mark.parametrize("n, p", [(1, 0.5), (2, 0.99), (129, 0.5), (1000, 0.01)])
     def test_sample_csv_matches_reference(self, monkeypatch, tmp_path, n, p):
         s = ensembles.sample_sparse_wigner(n, p, ZERO_ATOM, 5)
-        _ref_save_sample_csv(s, tmp_path / "ref.csv")
+        _ref_save_sample_csv(n, p, s.rows, s.cols, s.values, tmp_path / "ref.csv")
         want = (tmp_path / "ref.csv").read_bytes()
         for row_block in (1, 7, n * n, ensembles.ROW_BLOCK):
             monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
             ensembles.save_sample_csv(s, tmp_path / "got.csv")
             assert (tmp_path / "got.csv").read_bytes() == want
 
-    def test_sample_csv_special_values_match_reference(self, tmp_path):
-        # -0.0 is a zero and is left out, as the reference's vals != 0 does
-        s = ensembles.SparseWignerSample(
-            4, 0.5, np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3]),
-            np.array([-0.0, 0.5, math.nan, -1e-300, 0.5]), 0)
-        _ref_save_sample_csv(s, tmp_path / "ref.csv")
-        ensembles.save_sample_csv(s, tmp_path / "got.csv")
-        got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "ref.csv").read_bytes()
-        assert b"0,1," not in got
+    def test_sample_csv_special_values_match_reference(self, monkeypatch, tmp_path):
+        # a sample with explicit edges, each value its own atom: -0.0 is a
+        # zero and is left out, as the reference's vals != 0 does; the dense
+        # matrix keeps it as 0.0 and NaN as NaN
+        rows, cols = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 2, 3, 3])
+        values = np.array([-0.0, 0.5, math.nan, -1e-300, 0.5])
+        ref = self._reference(4, 0.5, rows, cols, values, tmp_path)
+        for row_block in (1, 7, 16, 1 << 15):
+            monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
+            self._assert_matches(_explicit_sample(4, 0.5, rows, cols, values), ref, tmp_path)
+        assert b"0,1," not in (tmp_path / "got.csv").read_bytes()
 
 
 class TestEsm:
@@ -554,9 +611,70 @@ class TestCsvIo:
         with pytest.raises(ValueError, match=r"at \(1, 2\) is not finite"):
             ensembles.load_sample_csv(path, 4)
 
+    @pytest.mark.parametrize("lines, message", [
+        # a repeated pair split across two chunks
+        (["0,1,0.5", "2,3,0.1", "0,1,0.25"], r"repeats the entry \(0, 1\)"),
+        (["2,3,0.1", "0,1,0.5", "1,2,0.1", "0,1,0.25"], r"repeats the entry \(0, 1\)"),
+        # a bad index or a non-finite value in a later chunk
+        (["0,1,0.5", "1,2,0.5", "3,2,0.5"], r"indices must satisfy 0 <= i < j < 4"),
+        (["0,1,0.5", "1,2,0.5", "2,3,nan"], r"value nan at \(2, 3\) is not finite"),
+        # the index fault is named before an earlier non-finite value
+        (["0,1,inf", "1,2,0.5", "0,9,0.5"], r"indices must satisfy"),
+        # loadtxt's own message, its row counted from the start of the file
+        (["0,1,0.5", "1,2,0.5", "# a comment", "", "1,x,0.5"],
+         r"could not convert string 'x' to int64 at row 2, column 2"),
+        (["0,1,0.5", "1,2,0.5", "0,2,0.5", "1,3"], r"2 were found at row 4"),
+    ])
+    def test_chunk_boundaries_keep_the_message(self, monkeypatch, tmp_path, lines, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,value\n" + "".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=message) as whole:
+            ensembles.load_sample_csv(path, 4)
+        for row_block in (1, 2, 3):
+            monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
+            with pytest.raises(ValueError) as chunked:
+                ensembles.load_sample_csv(path, 4)
+            assert str(chunked.value) == str(whole.value)
+
+    @pytest.mark.parametrize("row_block", [1, 2, 5, 1 << 15])
+    def test_pairs_in_any_order_load_alike(self, monkeypatch, tmp_path, row_block):
+        # increasing pairs skip the sort; any other order is sorted once
+        monkeypatch.setattr(ensembles, "ROW_BLOCK", row_block)
+        s = ensembles.sample_sparse_wigner(30, 0.3, ZERO_ATOM, 2)
+        ensembles.save_sample_csv(s, tmp_path / "x.csv")
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        rng = np.random.default_rng(row_block)
+        shuffled = [lines[0], *rng.permutation(lines[1:]).tolist()]
+        (tmp_path / "y.csv").write_text("".join(f"{line}\n" for line in shuffled))
+        for name in ("x.csv", "y.csv"):
+            back = ensembles.load_sample_csv(tmp_path / name, 30)
+            assert back.tobytes() == s.entries.tobytes()
+
     def test_eigenvalue_export(self, tmp_path):
         e = ensembles.esm(np.diag([1.0, 2.0]))
         path = tmp_path / "eig.csv"
         ensembles.save_eigenvalues_csv(e, path)
         vals = np.loadtxt(path, skiprows=1)
         assert np.array_equal(vals, [1.0, 2.0])
+
+
+def _traced_peak_mib(fn):
+    """tracemalloc's peak while fn runs, in MiB: numpy's buffers count, the
+    work arrays LAPACK allocates inside eigvalsh do not."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_budget(tmp_path):
+    # a Rademacher sample with n = 2000, p = 0.2: X alone is 30.5 MiB.  No
+    # step holds a whole-sample array, so writing it stays within 8 MiB, and
+    # its spectrum and reading its CSV back within X plus 5.5 and 9.5 MiB
+    path = tmp_path / "x.csv"
+    draw = lambda: ensembles.sample_sparse_wigner(2000, 0.2, RADEMACHER, 5)
+    assert _traced_peak_mib(lambda: ensembles.save_sample_csv(draw(), path)) <= 8
+    assert _traced_peak_mib(lambda: ensembles.esm(draw())) <= 36
+    assert _traced_peak_mib(lambda: ensembles.load_sample_csv(path, 2000)) <= 40

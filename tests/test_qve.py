@@ -230,12 +230,13 @@ class TestSolveQve:
     def test_continued_counts_the_walks(self, continuation_sizes):
         # 1i is the contraction height of the constant kernel, 2i above it and
         # 0.5 + 0.05i below it: all three points walk, and only the last
-        # starts above its target; a warm start at the target walks nothing
+        # starts above its target; a warm start at the target calls no walk
         W = StepKernel.constant(1.0)
         sol = qve.solve_qve(W, [2j, 0.5 + 0.05j, 1j])
         assert sol.continued == 1 and continuation_sizes == [3]
         warm = qve.solve_qve(W, sol.z_points, m0=sol.m_values)
-        assert warm.continued == 0 and continuation_sizes == [3, 0]
+        assert warm.continued == 0 and continuation_sizes == [3]
+        assert warm.m_values.tobytes() == sol.m_values.tobytes()
 
     def test_continuation_near_axis_small_entries(self):
         # a level accepted at LEVEL_TOL with Re m of the wrong sign used to
